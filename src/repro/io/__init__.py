@@ -13,6 +13,8 @@ accounting exactly, so this package provides:
   coalescing, and a pin API modelling the paper's "O(1) catalog blocks
   held in main memory".
 - :class:`IOStats` -- exact counters, subtractable for scoped measurement.
+- :class:`StoreLayer` -- the pass-through base every store wrapper
+  (checksum, snapshot, fault, retry, journal, trace, pool) extends.
 
 All data structures in :mod:`repro` access their data exclusively through
 this interface, so the quantities the paper's theorems bound (blocks of
@@ -21,9 +23,10 @@ space, I/Os per operation) are measured, not estimated.
 
 from repro.io.stats import IOStats
 from repro.io.blockstore import Block, BlockStore, StorageError, BlockCapacityError
-from repro.io.bufferpool import BufferPool, CowRecords
+from repro.io.bufferpool import BufferPool
 from repro.io.checksum import ChecksummedStore, CorruptBlockError
 from repro.io.hooks import crash_point, prefetch_hint
+from repro.io.layer import StoreLayer
 from repro.io.policies import (
     POLICIES,
     ClockPolicy,
@@ -39,7 +42,7 @@ __all__ = [
     "Block",
     "BlockStore",
     "BufferPool",
-    "CowRecords",
+    "StoreLayer",
     "TraceRecorder",
     "TraceSummary",
     "StorageError",

@@ -60,20 +60,17 @@ class BlockStore:
     ----------
     block_size:
         The paper's ``B``: the number of records a block holds.
-    copy_on_io:
-        When True (default), reads and writes copy the record list so the
-        disk contents cannot be mutated through aliases.  Benchmarks may
-        disable it to reduce interpreter overhead; the I/O *counts* are
-        identical either way.
+
+    Reads and writes copy the record list, so the disk contents cannot
+    be mutated through aliases.
     """
 
-    def __init__(self, block_size: int, *, copy_on_io: bool = True):
+    def __init__(self, block_size: int):
         if block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {block_size}")
         self._block_size = int(block_size)
         self._blocks: dict[int, List[Any]] = {}
         self._next_bid = 0
-        self._copy = copy_on_io
         self.stats = IOStats()
         self._observers: List[StoreObserver] = []
 
@@ -84,11 +81,6 @@ class BlockStore:
     def block_size(self) -> int:
         """The paper's ``B``: records per block."""
         return self._block_size
-
-    @property
-    def copy_on_io(self) -> bool:
-        """Whether reads/writes defensively copy the record list."""
-        return self._copy
 
     @property
     def physical_store(self) -> "BlockStore":
@@ -133,7 +125,7 @@ class BlockStore:
         if self._observers:
             for cb in self._observers:
                 cb("read", bid)
-        return Block(bid, list(records) if self._copy else records)
+        return Block(bid, list(records))
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Write one block to disk.  Costs one write I/O."""
@@ -145,7 +137,7 @@ class BlockStore:
                 f"block {bid}: {len(data)} records > block size {self._block_size}"
             )
         self.stats.writes += 1
-        self._blocks[bid] = data if not self._copy else list(data)
+        self._blocks[bid] = data
         if self._observers:
             for cb in self._observers:
                 cb("write", bid)
@@ -214,7 +206,7 @@ class BlockStore:
             raise BlockCapacityError(
                 f"block {bid}: {len(data)} records > block size {self._block_size}"
             )
-        self._blocks[bid] = data if not self._copy else list(data)
+        self._blocks[bid] = data
         self._next_bid = max(self._next_bid, bid + 1)
         self.stats.writes += 1
         if self._observers:
@@ -287,11 +279,11 @@ class BlockStore:
             )
 
     @classmethod
-    def load(cls, path: str, *, copy_on_io: bool = True) -> "BlockStore":
+    def load(cls, path: str) -> "BlockStore":
         """Reload a disk image written by :meth:`save`."""
         with open(path, "rb") as fh:
             image = pickle.load(fh)
-        store = cls(image["block_size"], copy_on_io=copy_on_io)
+        store = cls(image["block_size"])
         store._blocks = image["blocks"]
         store._next_bid = image["next_bid"]
         store.stats = IOStats(*image["stats"])

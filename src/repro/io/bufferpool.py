@@ -38,21 +38,12 @@ the gated experiment baselines depend on that):
     is unchanged: a frame is unmarked only after its own write
     succeeded, so a mid-batch failure leaves exactly the unflushed
     frames dirty.
-
-``copy_on_hit=``
-    Zero-copy fast path.  By default (``None``) the pool mirrors the
-    physical store's ``copy_on_io``: a safety-first chain keeps the
-    defensive per-hit ``list(records)`` copy, while a
-    ``copy_on_io=False`` chain serves hits as :class:`CowRecords` --
-    a copy-on-write view over the cached frame that costs nothing to
-    create and only materializes a private list if the caller mutates
-    it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.io.blockstore import (
     Block,
@@ -61,112 +52,11 @@ from repro.io.blockstore import (
     StorageError,
     StoreObserver,
 )
+from repro.io.layer import StoreLayer
 from repro.io.policies import ReplacementPolicy, make_policy
-from repro.io.stats import IOStats
 
 
-class CowRecords:
-    """Copy-on-write view of a cached frame's record list.
-
-    Reading (iteration, indexing, ``len``, ``in``) delegates straight to
-    the shared list; the first mutating operation copies it, so a caller
-    can never corrupt the pool's cached frame through the returned
-    block.  This gives ``copy_on_io=False`` chains allocation-free cache
-    hits while preserving the aliasing guarantee the I/O accounting
-    relies on.
-    """
-
-    __slots__ = ("_data", "_shared")
-
-    def __init__(self, data: List[Any]):
-        self._data = data
-        self._shared = True
-
-    def _own(self) -> List[Any]:
-        if self._shared:
-            self._data = list(self._data)
-            self._shared = False
-        return self._data
-
-    @property
-    def is_shared(self) -> bool:
-        """True while the view still aliases the pool's frame."""
-        return self._shared
-
-    # -- readers: zero-copy delegation ---------------------------------
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._data)
-
-    def __getitem__(self, index):
-        return self._data[index]
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self._data
-
-    def __reversed__(self) -> Iterator[Any]:
-        return reversed(self._data)
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, CowRecords):
-            other = other._data
-        return self._data == other
-
-    def __add__(self, other) -> List[Any]:
-        return list(self._data) + list(other)
-
-    def __radd__(self, other) -> List[Any]:
-        return list(other) + list(self._data)
-
-    def index(self, *args) -> int:
-        return self._data.index(*args)
-
-    def count(self, item: Any) -> int:
-        return self._data.count(item)
-
-    def copy(self) -> List[Any]:
-        return list(self._data)
-
-    # -- mutators: copy first ------------------------------------------
-    def __setitem__(self, index, value) -> None:
-        self._own()[index] = value
-
-    def __delitem__(self, index) -> None:
-        del self._own()[index]
-
-    def append(self, item: Any) -> None:
-        self._own().append(item)
-
-    def extend(self, items: Iterable[Any]) -> None:
-        self._own().extend(items)
-
-    def insert(self, index: int, item: Any) -> None:
-        self._own().insert(index, item)
-
-    def pop(self, index: int = -1) -> Any:
-        return self._own().pop(index)
-
-    def remove(self, item: Any) -> None:
-        self._own().remove(item)
-
-    def sort(self, **kwargs) -> None:
-        self._own().sort(**kwargs)
-
-    def reverse(self) -> None:
-        self._own().reverse()
-
-    def clear(self) -> None:
-        self._data = []
-        self._shared = False
-
-    def __repr__(self) -> str:
-        tag = "shared" if self._shared else "owned"
-        return f"CowRecords({tag}, n={len(self._data)})"
-
-
-class BufferPool:
+class BufferPool(StoreLayer):
     """Write-back cache over a block store with pluggable replacement.
 
     Parameters
@@ -188,10 +78,9 @@ class BufferPool:
     coalesce_writes:
         Flush the whole dirty set, block-id-sorted, whenever an
         eviction or :meth:`flush` writes back.  Default off.
-    copy_on_hit:
-        ``True`` -> defensive copy per hit (original behaviour);
-        ``False`` -> :class:`CowRecords` zero-copy views; ``None``
-        (default) -> follow the physical store's ``copy_on_io``.
+
+    Every hit returns a private copy of the cached frame, so a caller
+    can never corrupt the pool through a returned block.
     """
 
     def __init__(
@@ -202,20 +91,16 @@ class BufferPool:
         policy: "Union[str, ReplacementPolicy, type]" = "lru",
         readahead_window: int = 0,
         coalesce_writes: bool = False,
-        copy_on_hit: "Optional[bool]" = None,
     ):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         if readahead_window < 0:
             raise ValueError("readahead_window must be non-negative")
-        self._store = store
+        super().__init__(store)
         self._capacity = capacity
         self._policy = make_policy(policy, capacity)
         self._window = int(readahead_window)
         self._coalesce = bool(coalesce_writes)
-        if copy_on_hit is None:
-            copy_on_hit = bool(getattr(self.physical_store, "copy_on_io", True))
-        self._copy_on_hit = bool(copy_on_hit)
         # bid -> records for the unpinned resident frames; victim choice
         # is the policy's job, the table itself is unordered
         self._frames: Dict[int, List[Any]] = {}
@@ -259,29 +144,9 @@ class BufferPool:
     # Storage protocol
     # ------------------------------------------------------------------
     @property
-    def block_size(self) -> int:
-        """Records per block (the underlying store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self) -> IOStats:
-        """Physical I/O counters of the underlying disk."""
-        return self._store.stats
-
-    @property
-    def physical_store(self) -> BlockStore:
-        """The underlying store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
     def policy(self) -> ReplacementPolicy:
         """The replacement policy instance ordering the frames."""
         return self._policy
-
-    @property
-    def crash_hook(self):
-        """Forward the inner chain's crash hook (fault injection)."""
-        return getattr(self._store, "crash_hook", None)
 
     def add_observer(self, callback: StoreObserver) -> None:
         """Subscribe ``callback(op, bid)`` to *pool-level* events.
@@ -304,9 +169,9 @@ class BufferPool:
         for cb in self._observers:
             cb(op, bid)
 
-    def alloc(self) -> int:
-        """Allocate a block on the underlying store (no I/O)."""
-        return self._store.alloc()
+    # allocation passes straight through (no I/O); defined on the class so
+    # the per-layer tracer (perfbench/tracing.py) finds it in its __dict__
+    alloc = StoreLayer.alloc
 
     def read(self, bid: int) -> Block:
         """Read through the cache; hits cost no physical I/O."""
@@ -315,11 +180,7 @@ class BufferPool:
                 self.hits += 1
                 if self._observers:
                     self._emit("hit", bid)
-                records = self._pinned[bid]
-                return Block(
-                    bid,
-                    list(records) if self._copy_on_hit else CowRecords(records),
-                )
+                return Block(bid, list(self._pinned[bid]))
             if bid in self._frames:
                 self.hits += 1
                 self._policy.record_hit(bid)
@@ -330,11 +191,7 @@ class BufferPool:
                         self._m_phits.inc()
                 if self._observers:
                     self._emit("hit", bid)
-                records = self._frames[bid]
-                return Block(
-                    bid,
-                    list(records) if self._copy_on_hit else CowRecords(records),
-                )
+                return Block(bid, list(self._frames[bid]))
             self.misses += 1
             if self._observers:
                 self._emit("miss", bid)

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.io.blockstore import Block, StorageError
+from repro.io.layer import StoreLayer
 
 
 class CorruptBlockError(StorageError):
@@ -70,62 +71,19 @@ def record_crc(records: Iterable[Any]) -> int:
     return zlib.crc32(pickle.dumps(list(records), protocol=4))
 
 
-class ChecksummedStore:
-    """Storage wrapper that CRC-frames every block (standard protocol)."""
+class ChecksummedStore(StoreLayer):
+    """Storage layer that CRC-frames every block."""
 
     def __init__(self, store):
-        self._store = store
+        super().__init__(store)
         self._crcs: Dict[int, int] = {}
         self.verified = 0     # reads that passed the checksum
         self.mismatches = 0   # reads that raised CorruptBlockError
 
-    # ------------------------------------------------------------------
-    # protocol delegation
-    # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def block_ids(self) -> List[int]:
-        """Ids of all allocated blocks (introspection passthrough)."""
-        return self._store.block_ids()
-
-    def peek(self, bid: int):
-        """Pass-through inspection (no I/O, no verification)."""
-        return self._store.peek(bid)
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
+    # pass-throughs (no I/O, no verification), defined on the class so the
+    # per-layer tracer (perfbench/tracing.py) finds them in its __dict__
+    peek = StoreLayer.peek
+    flush = StoreLayer.flush
 
     # ------------------------------------------------------------------
     # checksummed operations

@@ -8,7 +8,9 @@ hooks that must stay cheap on the plain store:
 
 - :func:`crash_point` -- a named marker inside a multi-block update
   path.  A store that exposes a ``crash_hook(tag)`` callable (only
-  :class:`~repro.resilience.FaultyStore` does) gets to raise a
+  :class:`~repro.resilience.FaultyStore` defines one; every
+  :class:`~repro.io.StoreLayer` above it holds the same hook, resolved
+  at construction) gets to raise a
   :class:`~repro.resilience.SimulatedCrash` there; every other store
   pays a single ``getattr`` returning ``None``, the same price as an
   unattached :func:`repro.obs.spans.span`.
@@ -31,7 +33,7 @@ from __future__ import annotations
 def crash_point(store, tag: str) -> None:
     """Declare a named crash site inside a multi-block update.
 
-    No-op unless ``store`` (or a wrapper in its stack) exposes a
+    No-op unless ``store`` (or a layer below it) exposes a
     ``crash_hook`` attribute; the hook may raise ``SimulatedCrash`` to
     model the process dying at exactly this point.
     """

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Tuple
 
+from repro.io.layer import StoreLayer
+
 
 @dataclass
 class TraceSummary:
@@ -35,8 +37,8 @@ class TraceSummary:
         return self.repeat_reads / self.reads if self.reads else 0.0
 
 
-class TraceRecorder:
-    """Storage wrapper that logs every (op, block id) pair.
+class TraceRecorder(StoreLayer):
+    """Storage layer that logs every (op, block id) pair.
 
     Presents the same protocol as :class:`~repro.io.BlockStore`, so any
     structure runs over it unchanged.  The trace lists tuples
@@ -44,32 +46,8 @@ class TraceRecorder:
     """
 
     def __init__(self, store):
-        self._store = store
+        super().__init__(store)
         self.trace: List[Tuple[str, int]] = []
-
-    # -- protocol ---------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
 
     def alloc(self) -> int:
         """Allocate on the wrapped store, logging the event."""
@@ -91,19 +69,6 @@ class TraceRecorder:
         """Free on the wrapped store, logging the event."""
         self.trace.append(("f", bid))
         self._store.free(bid)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (not logged; costs no I/O)."""
-        return self._store.peek(bid)
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
 
     # -- analysis ----------------------------------------------------------
     def clear(self) -> None:

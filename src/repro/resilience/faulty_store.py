@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Set
 
+from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter
 from repro.resilience import faults as F
 from repro.resilience.errors import (
@@ -54,11 +55,12 @@ def _rotted(data, u: float):
     return out
 
 
-class FaultyStore:
-    """Fault-injecting storage wrapper (standard storage protocol)."""
+class FaultyStore(StoreLayer):
+    """Fault-injecting storage layer; ``peek`` and ``flush`` pass
+    through untouched (no faults: debugging aid)."""
 
     def __init__(self, store, schedule: FaultSchedule):
-        self._store = store
+        super().__init__(store)
         self.schedule = schedule
         self._broken_read: Set[int] = set()   # bids with latched read faults
         self._broken_write: Set[int] = set()  # bids with latched write faults
@@ -67,49 +69,6 @@ class FaultyStore:
         #: exposing it to the hostile environment (chaos tests the *serving*
         #: path, not the bulk load)
         self.armed = True
-
-    # ------------------------------------------------------------------
-    # protocol delegation
-    # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (no I/O, no faults: debugging aid)."""
-        return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def block_ids(self):
-        """Ids of all allocated blocks (introspection passthrough)."""
-        return self._store.block_ids()
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
 
     # ------------------------------------------------------------------
     # faulted operations

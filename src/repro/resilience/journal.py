@@ -51,15 +51,16 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.io.blockstore import Block, BlockCapacityError, StorageError
+from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter
 from repro.resilience.errors import RecoveryError, SimulatedCrash
 
 
-class JournaledStore:
-    """Transactional storage wrapper with write-ahead-journal recovery."""
+class JournaledStore(StoreLayer):
+    """Transactional storage layer with write-ahead-journal recovery."""
 
     def __init__(self, store, *, log_allocs: bool = False):
-        self._store = store
+        super().__init__(store)
         self._log_allocs = log_allocs
         a0, a1 = store.alloc(), store.alloc()
         self._anchor_bids: Tuple[int, int] = (a0, a1)
@@ -102,7 +103,7 @@ class JournaledStore:
         if best is None:
             raise RecoveryError(f"no valid anchor in blocks {anchor_bids}")
         obj = cls.__new__(cls)
-        obj._store = store
+        StoreLayer.__init__(obj, store)
         obj._log_allocs = log_allocs
         obj._anchor_bids = tuple(anchor_bids)
         obj._anchor_version = best[1]
@@ -247,34 +248,6 @@ class JournaledStore:
     # ------------------------------------------------------------------
     # storage protocol (buffered under a transaction)
     # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
     def alloc(self) -> int:
         """Allocate a real block (journaled when ``log_allocs``)."""
         bid = self._store.alloc()
@@ -284,15 +257,20 @@ class JournaledStore:
                 self._append_journal([("A", self._txn["id"], bid)])
         return bid
 
+    def _buffered(self, bid: int, op: str):
+        """The open transaction's buffered records for ``bid`` (or None)."""
+        txn = self._txn
+        if txn is None:
+            return None
+        if bid in txn["freed"]:
+            raise StorageError(f"{op} of block {bid} freed in transaction")
+        return txn["writes"].get(bid)
+
     def read(self, bid: int) -> Block:
         """Read through the transaction buffer (read-your-writes)."""
-        txn = self._txn
-        if txn is not None:
-            if bid in txn["freed"]:
-                raise StorageError(f"read of block {bid} freed in transaction")
-            buffered = txn["writes"].get(bid)
-            if buffered is not None:
-                return Block(bid, list(buffered))
+        buffered = self._buffered(bid, "read")
+        if buffered is not None:
+            return Block(bid, list(buffered))
         return self._store.read(bid)
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
@@ -329,23 +307,10 @@ class JournaledStore:
 
     def peek(self, bid: int):
         """Inspect through the transaction buffer (no I/O charged)."""
-        txn = self._txn
-        if txn is not None:
-            if bid in txn["freed"]:
-                raise StorageError(f"peek of block {bid} freed in transaction")
-            buffered = txn["writes"].get(bid)
-            if buffered is not None:
-                return list(buffered)
+        buffered = self._buffered(bid, "peek")
+        if buffered is not None:
+            return list(buffered)
         return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
 
     def _require_allocated(self, bid: int, txn) -> None:
         if bid in txn["writes"] or bid in txn["allocs"]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
+from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter
 from repro.resilience.errors import (
     PermanentIOError,
@@ -118,46 +119,18 @@ class RetryPolicy:
         ) from last
 
 
-class RetryingStore:
-    """Storage wrapper applying a :class:`RetryPolicy` to every operation.
+class RetryingStore(StoreLayer):
+    """Storage layer applying a :class:`RetryPolicy` to every operation.
 
     Structures opt into retries by wrapping their store; the protocol
     is unchanged.  Reads and writes have no safe partial answer, so no
     fallback is ever supplied: a degrade-mode policy still raises here.
+    ``peek`` and ``flush`` pass through without retries.
     """
 
     def __init__(self, store, policy: Optional[RetryPolicy] = None):
-        self._store = store
+        super().__init__(store)
         self.policy = policy if policy is not None else RetryPolicy()
-
-    # -- protocol ------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
 
     def alloc(self) -> int:
         """Allocate with retries."""
@@ -175,19 +148,6 @@ class RetryingStore:
     def free(self, bid: int) -> None:
         """Free with retries."""
         self.policy.call(self._store.free, bid)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (no I/O, no retries)."""
-        return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
 
     def __repr__(self) -> str:
         return f"RetryingStore(max_attempts={self.policy.max_attempts})"

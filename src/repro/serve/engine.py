@@ -39,7 +39,13 @@ from repro.resilience.faults import FaultSchedule
 from repro.resilience.retry import RetryPolicy
 from repro.serve.admission import AdmissionController, EngineOverloaded
 from repro.serve.deadline import Deadline
-from repro.serve.executor import BatchExecutor, BatchResult, Op, PartialResult
+from repro.serve.executor import (
+    BatchExecutor,
+    BatchResult,
+    Op,
+    PartialResult,
+    merge_slabs,
+)
 from repro.serve.scrub import Scrubber
 from repro.serve.shards import Shard, SlabRouter
 from repro.serve.snapshots import ShardSnapshot
@@ -63,19 +69,17 @@ class EngineSnapshot:
 
     def query3(self, a: float, b: float, c: float) -> List[Point]:
         """3-sided query against the frozen cut."""
-        merged: List[Point] = []
-        for sh, snap in zip(self._router.shards, self._snaps):
-            if sh.x_lo <= b and a < sh.x_hi:
-                merged.extend(snap.query3(a, b, c))
-        return sorted(merged)
+        return merge_slabs(
+            self._snaps[sh.shard_id].query3(a, b, c)
+            for sh in self._router.shards_for_range(a, b)
+        )
 
     def query4(self, a: float, b: float, c: float, d: float) -> List[Point]:
         """4-sided query against the frozen cut."""
-        merged: List[Point] = []
-        for sh, snap in zip(self._router.shards, self._snaps):
-            if sh.x_lo <= b and a < sh.x_hi:
-                merged.extend(snap.query4(a, b, c, d))
-        return sorted(merged)
+        return merge_slabs(
+            self._snaps[sh.shard_id].query4(a, b, c, d)
+            for sh in self._router.shards_for_range(a, b)
+        )
 
     @property
     def count(self) -> int:
@@ -84,10 +88,7 @@ class EngineSnapshot:
 
     def all_points(self) -> List[Point]:
         """Every point in the frozen cut, sorted."""
-        out: List[Point] = []
-        for snap in self._snaps:
-            out.extend(snap.all_points())
-        return sorted(out)
+        return merge_slabs(snap.all_points() for snap in self._snaps)
 
     def close(self) -> None:
         """Release every shard epoch (idempotent)."""
@@ -231,19 +232,8 @@ class ServingEngine:
         if not self.admission.acquire(max_wait=bound):
             # shed while waiting: nothing was served, report it as a
             # degraded (empty) result rather than an exception
-            queues = self.executor.route(ops)
-            kind_counts: Dict[str, int] = {}
-            for kind, _arg in ops:
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            return PartialResult(
-                results=[None] * len(ops),
-                wall_s=0.0,
-                n_ops=len(ops),
-                shards_touched=0,
-                counts=kind_counts,
-                complete=False,
-                served_slabs=[],
-                missing_slabs=sorted(queues),
+            return PartialResult.nothing_served(
+                ops, self.executor.route(ops), wall_s=0.0,
                 deadline_expired=deadline.expired,
             )
         try:
@@ -270,21 +260,28 @@ class ServingEngine:
         with sh.lock.write_locked():
             return sh.delete((x, y))
 
+    def _read_slabs(self, shards, answer) -> List[Point]:
+        """Merge ``answer(shard)`` over ``shards``, each under its
+        reader lock."""
+        parts = []
+        for sh in shards:
+            with sh.lock.read_locked():
+                parts.append(answer(sh))
+        return merge_slabs(parts)
+
     def query3(self, a: float, b: float, c: float) -> List[Point]:
         """3-sided query ``a <= x <= b, y >= c`` across shards."""
-        merged: List[Point] = []
-        for sh in self.router.shards_for_range(a, b):
-            with sh.lock.read_locked():
-                merged.extend(sh.query3(a, b, c))
-        return sorted(merged)
+        return self._read_slabs(
+            self.router.shards_for_range(a, b),
+            lambda sh: sh.query3(a, b, c),
+        )
 
     def query4(self, a: float, b: float, c: float, d: float) -> List[Point]:
         """4-sided query ``a <= x <= b, c <= y <= d`` across shards."""
-        merged: List[Point] = []
-        for sh in self.router.shards_for_range(a, b):
-            with sh.lock.read_locked():
-                merged.extend(sh.query4(a, b, c, d, spanned=sh.covered_by(a, b)))
-        return sorted(merged)
+        return self._read_slabs(
+            self.router.shards_for_range(a, b),
+            lambda sh: sh.query4(a, b, c, d, spanned=sh.covered_by(a, b)),
+        )
 
     # ------------------------------------------------------------------
     def snapshot(self) -> EngineSnapshot:
@@ -333,12 +330,9 @@ class ServingEngine:
         return self.router.total_count
 
     def all_points(self) -> List[Point]:
-        """Every live point across all shards, sorted."""
-        out: List[Point] = []
-        for sh in self.router.shards:
-            with sh.lock.read_locked():
-                out.extend(sh.structure.all_points())
-        return sorted(out)
+        """Every live point across all shards, sorted (replica
+        failover and in-place healing as for queries)."""
+        return self._read_slabs(self.router.shards, lambda sh: sh.all_points())
 
     def stats(self) -> Dict[str, object]:
         """Engine health: per-shard I/O and cache, admission,
@@ -383,10 +377,10 @@ class ServingEngine:
             "replication": replication,
             "scrub": self.scrubber.summary(),
             "total_reads": sum(
-                sh.base_store.stats.reads for sh in shards
+                sh.primary.base_store.stats.reads for sh in shards
             ),
             "total_writes": sum(
-                sh.base_store.stats.writes for sh in shards
+                sh.primary.base_store.stats.writes for sh in shards
             ),
             "total_replica_reads": sum(
                 r.base_store.stats.reads

@@ -33,7 +33,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import counter
 from repro.serve.deadline import Deadline, DeadlineExpired
@@ -82,16 +83,59 @@ class PartialResult(BatchResult):
     True when every routed shard finished its queue in budget -- then
     the payload is identical to a plain :class:`BatchResult`.  When the
     deadline expired first, ``served_slabs`` / ``missing_slabs`` name
-    the shard ids (x-slabs) that did / did not finish: query results
-    contain only the contributions of served slabs, and mutations
-    queued on a missing slab were **not** applied (their ``results``
-    entries are None, i.e. unacknowledged).
+    the shard ids (x-slabs) that did / did not finish their queue.  A
+    missing slab stopped between two of its ops: every op it ran before
+    that point took effect (mutations are applied, query answers are
+    merged in) and the rest did not run.  So a query result may lack a
+    missing slab's contribution, and a mutation routed to a missing
+    slab may or may not be applied -- its ``results`` entry (None for
+    an insert either way, None for a delete that did not run) does not
+    acknowledge it; re-read the point to find out.
     """
 
     complete: bool = True
     served_slabs: List[int] = field(default_factory=list)
     missing_slabs: List[int] = field(default_factory=list)
     deadline_expired: bool = False
+
+    @classmethod
+    def nothing_served(
+        cls,
+        ops: Sequence[Op],
+        slabs: Iterable[int],
+        *,
+        wall_s: float,
+        deadline_expired: bool,
+    ) -> "PartialResult":
+        """The result of a batch that never reached its shards
+        (``slabs`` are the x-slabs it was routed to)."""
+        return cls(
+            results=[None] * len(ops),
+            wall_s=wall_s,
+            n_ops=len(ops),
+            shards_touched=0,
+            counts=count_kinds(ops),
+            complete=False,
+            missing_slabs=sorted(slabs),
+            deadline_expired=deadline_expired,
+        )
+
+
+def count_kinds(ops: Sequence[Op]) -> Dict[str, int]:
+    """Ops per kind, in order of first appearance."""
+    counts: Dict[str, int] = {}
+    for kind, _arg in ops:
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
+
+
+def merge_slabs(parts: Iterable[Iterable[tuple]]) -> List[tuple]:
+    """One query's answer from its per-slab answers.
+
+    Slabs are disjoint, so the sorted concatenation is exactly what a
+    single structure would return, whatever order the slabs answered in.
+    """
+    return sorted(chain.from_iterable(parts))
 
 
 class BatchExecutor:
@@ -124,17 +168,12 @@ class BatchExecutor:
                 queues.setdefault(sh.shard_id, []).append(
                     (idx, kind, tuple(arg), False)
                 )
-            elif kind == "q3":
-                a, b, _c = arg
+            elif kind in ("q3", "q4"):
+                a, b = arg[0], arg[1]
                 for sh in self._router.shards_for_range(a, b):
                     queues.setdefault(sh.shard_id, []).append(
-                        (idx, kind, tuple(arg), False)
-                    )
-            elif kind == "q4":
-                a, b, _c, _d = arg
-                for sh in self._router.shards_for_range(a, b):
-                    queues.setdefault(sh.shard_id, []).append(
-                        (idx, kind, tuple(arg), sh.covered_by(a, b))
+                        (idx, kind, tuple(arg),
+                         kind == "q4" and sh.covered_by(a, b))
                     )
             else:
                 raise ValueError(f"unknown op kind {kind!r}")
@@ -142,71 +181,55 @@ class BatchExecutor:
 
     @staticmethod
     def _run_queue(
-        shard: Shard, queue: List[Tuple[int, str, tuple, bool]]
-    ) -> Dict[int, object]:
-        has_write = any(kind in _WRITES for _idx, kind, _a, _s in queue)
-        lock_ctx = (
-            shard.lock.write_locked() if has_write else shard.lock.read_locked()
-        )
+        shard: Shard,
+        queue: List[Tuple[int, str, tuple, bool]],
+        deadline: Optional[Deadline],
+    ) -> Tuple[Dict[int, object], bool]:
+        """One shard's task: ``(partial results by batch index, finished)``.
+
+        Takes the writer lock iff the queue holds a mutation, else the
+        reader lock.  Without a deadline the lock blocks and every op
+        runs.  With one, the lock wait is bounded by the remaining
+        budget and the deadline is checked between ops; reads also
+        thread it into the replica layer, so a fallback-chain walk
+        cannot overrun it.  On expiry the task stops where it is and
+        reports unfinished; the ops it already ran stay applied.
+        """
+        lock = shard.lock
+        timeout = Deadline.remaining_of(deadline)
+        if any(kind in _WRITES for _idx, kind, _a, _s in queue):
+            acquired, release = lock.acquire_write(timeout), lock.release_write
+        else:
+            acquired, release = lock.acquire_read(timeout), lock.release_read
+        if not acquired:
+            return {}, False
         partial: Dict[int, object] = {}
-        with lock_ctx:
+        try:
             for idx, kind, arg, spanned in queue:
+                if deadline is not None and deadline.expired:
+                    return partial, False
                 if kind == "ins":
                     shard.insert(arg)
                     partial[idx] = None
                 elif kind == "del":
                     partial[idx] = shard.delete(arg)
                 elif kind == "q3":
-                    partial[idx] = shard.query3(*arg)
+                    partial[idx] = shard.query3(*arg, deadline=deadline)
                 else:
-                    partial[idx] = shard.query4(*arg, spanned=spanned)
-        return partial
-
-    @staticmethod
-    def _run_queue_deadline(
-        shard: Shard,
-        queue: List[Tuple[int, str, tuple, bool]],
-        deadline: Deadline,
-    ) -> Tuple[Dict[int, object], bool]:
-        """Deadline-aware shard task: ``(partial, finished)``.
-
-        The lock acquisition is bounded by the remaining budget and the
-        deadline is checked between ops; on expiry the task stops where
-        it is and reports unfinished instead of hanging.  Reads also
-        thread the deadline into the replica layer so a fallback-chain
-        walk cannot overrun it.
-        """
-        has_write = any(kind in _WRITES for _idx, kind, _a, _s in queue)
-        if has_write:
-            acquired = shard.lock.acquire_write(timeout=deadline.remaining())
-            release = shard.lock.release_write
-        else:
-            acquired = shard.lock.acquire_read(timeout=deadline.remaining())
-            release = shard.lock.release_read
-        if not acquired:
-            return {}, False
-        partial: Dict[int, object] = {}
-        try:
-            for idx, kind, arg, spanned in queue:
-                if deadline.expired:
-                    return partial, False
-                try:
-                    if kind == "ins":
-                        shard.insert(arg)
-                        partial[idx] = None
-                    elif kind == "del":
-                        partial[idx] = shard.delete(arg)
-                    elif kind == "q3":
-                        partial[idx] = shard.query3(*arg, deadline=deadline)
-                    else:
-                        partial[idx] = shard.query4(
-                            *arg, spanned=spanned, deadline=deadline
-                        )
-                except DeadlineExpired:
-                    return partial, False
+                    partial[idx] = shard.query4(
+                        *arg, spanned=spanned, deadline=deadline
+                    )
+        except DeadlineExpired:
+            return partial, False
         finally:
             release()
         return partial, True
+
+    @staticmethod
+    def _count_batch(counts: Dict[str, int]) -> None:
+        counter("batches", layer="serve").inc()
+        for kind, n in counts.items():
+            counter("batch_ops", layer="serve", kind=kind).inc(n)
 
     # ------------------------------------------------------------------
     def execute(
@@ -217,145 +240,59 @@ class BatchExecutor:
         With a ``deadline`` the batch never hangs: shards that cannot
         finish in budget are abandoned and the answer comes back as a
         :class:`PartialResult` naming the served and missing x-slabs.
-        Without one the behaviour (and every I/O count) is unchanged.
+        Without one it returns a plain :class:`BatchResult`.  A failing
+        shard task raises :class:`ShardTaskError` once every task ended.
         """
-        if deadline is not None:
-            return self._execute_deadline(ops, deadline)
         t0 = time.perf_counter()
         queues = self.route(ops)
-        shards_by_id = {sh.shard_id: sh for sh in self._router}
-        futures = []
-        for shard_id in sorted(queues):
-            futures.append(
-                (
-                    shard_id,
-                    self._pool.submit(
-                        self._run_queue, shards_by_id[shard_id], queues[shard_id]
-                    ),
+        counts = count_kinds(ops)
+        if deadline is not None:
+            # a budgeted batch counts even if it expires or fails
+            self._count_batch(counts)
+            if deadline.expired:
+                # budget was gone before fan-out: nothing is served
+                counter("deadline_expired", layer="serve").inc()
+                return PartialResult.nothing_served(
+                    ops, queues, wall_s=time.perf_counter() - t0,
+                    deadline_expired=True,
                 )
-            )
-        partials: List[Tuple[int, Dict[int, object]]] = []
-        error: Optional[ShardTaskError] = None
-        for shard_id, fut in futures:
-            try:
-                partials.append((shard_id, fut.result()))
-            except BaseException as exc:  # noqa: BLE001 - annotate and rethrow
-                if error is None:
-                    error = ShardTaskError(shard_id, exc)
-        if error is not None:
-            raise error
-
+        shards_by_id = {sh.shard_id: sh for sh in self._router}
+        futures = [
+            (sid, self._pool.submit(
+                self._run_queue, shards_by_id[sid], queues[sid], deadline
+            ))
+            for sid in sorted(queues)
+        ]
         results: List[object] = [None] * len(ops)
         query_parts: Dict[int, List[list]] = {}
-        for shard_id, partial in sorted(partials):
-            for idx, value in partial.items():
-                kind = ops[idx][0]
-                if kind in ("q3", "q4"):
-                    query_parts.setdefault(idx, []).append(value)
-                else:
-                    results[idx] = value
-        for idx, parts in query_parts.items():
-            merged: List[tuple] = []
-            for part in parts:
-                merged.extend(part)
-            results[idx] = sorted(merged)
-
-        wall = time.perf_counter() - t0
-        stats: Dict[str, int] = {}
-        for kind, _arg in ops:
-            stats[kind] = stats.get(kind, 0) + 1
-        counter("batches", layer="serve").inc()
-        for kind, n in stats.items():
-            counter("batch_ops", layer="serve", kind=kind).inc(n)
-        return BatchResult(
-            results=results,
-            wall_s=wall,
-            n_ops=len(ops),
-            shards_touched=len(queues),
-            counts=stats,
-        )
-
-    def _execute_deadline(
-        self, ops: Sequence[Op], deadline: Deadline
-    ) -> PartialResult:
-        """The deadline-bearing twin of :meth:`execute`."""
-        t0 = time.perf_counter()
-        queues = self.route(ops)
-        kind_counts: Dict[str, int] = {}
-        for kind, _arg in ops:
-            kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        counter("batches", layer="serve").inc()
-        for kind, n in kind_counts.items():
-            counter("batch_ops", layer="serve", kind=kind).inc(n)
-
-        if deadline.expired:
-            # budget was gone before fan-out: nothing is served
-            counter("deadline_expired", layer="serve").inc()
-            return PartialResult(
-                results=[None] * len(ops),
-                wall_s=time.perf_counter() - t0,
-                n_ops=len(ops),
-                shards_touched=0,
-                counts=kind_counts,
-                complete=False,
-                served_slabs=[],
-                missing_slabs=sorted(queues),
-                deadline_expired=True,
-            )
-
-        shards_by_id = {sh.shard_id: sh for sh in self._router}
-        futures = []
-        for shard_id in sorted(queues):
-            futures.append(
-                (
-                    shard_id,
-                    self._pool.submit(
-                        self._run_queue_deadline,
-                        shards_by_id[shard_id],
-                        queues[shard_id],
-                        deadline,
-                    ),
-                )
-            )
-        partials: List[Tuple[int, Dict[int, object]]] = []
         served: List[int] = []
         missing: List[int] = []
         error: Optional[ShardTaskError] = None
-        for shard_id, fut in futures:
+        for shard_id, fut in futures:  # shard order
             try:
                 partial, finished = fut.result()
             except BaseException as exc:  # noqa: BLE001 - annotate and rethrow
                 if error is None:
                     error = ShardTaskError(shard_id, exc)
                 continue
-            partials.append((shard_id, partial))
             (served if finished else missing).append(shard_id)
-        if error is not None:
-            raise error
-
-        results: List[object] = [None] * len(ops)
-        query_parts: Dict[int, List[list]] = {}
-        for shard_id, partial in sorted(partials):
             for idx, value in partial.items():
-                kind = ops[idx][0]
-                if kind in ("q3", "q4"):
+                if ops[idx][0] in ("q3", "q4"):
                     query_parts.setdefault(idx, []).append(value)
                 else:
                     results[idx] = value
+        if error is not None:
+            raise error
         for idx, parts in query_parts.items():
-            merged: List[tuple] = []
-            for part in parts:
-                merged.extend(part)
-            results[idx] = sorted(merged)
-
+            results[idx] = merge_slabs(parts)
+        wall = time.perf_counter() - t0
+        if deadline is None:
+            self._count_batch(counts)
+            return BatchResult(results, wall, len(ops), len(queues), counts)
         if missing:
             counter("deadline_expired", layer="serve").inc()
         return PartialResult(
-            results=results,
-            wall_s=time.perf_counter() - t0,
-            n_ops=len(ops),
-            shards_touched=len(queues),
-            counts=kind_counts,
+            results, wall, len(ops), len(queues), counts,
             complete=not missing,
             served_slabs=served,
             missing_slabs=missing,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.io.blockstore import BlockStore, StorageError
@@ -159,37 +160,19 @@ class CircuitBreaker:
         )
 
 
+@dataclass
 class ReplicaSpec:
     """The chain recipe shared by every replica of one shard."""
 
-    __slots__ = (
-        "block_size", "pool_capacity", "pool_policy", "readahead_window",
-        "coalesce_writes", "retry_policy", "io_latency",
-        "breaker_threshold", "breaker_probe_after",
-    )
-
-    def __init__(
-        self,
-        block_size: int,
-        *,
-        pool_capacity: int = 0,
-        pool_policy: str = "lru",
-        readahead_window: int = 0,
-        coalesce_writes: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-        io_latency: float = 0.0,
-        breaker_threshold: int = 3,
-        breaker_probe_after: int = 8,
-    ):
-        self.block_size = block_size
-        self.pool_capacity = pool_capacity
-        self.pool_policy = pool_policy
-        self.readahead_window = readahead_window
-        self.coalesce_writes = coalesce_writes
-        self.retry_policy = retry_policy
-        self.io_latency = io_latency
-        self.breaker_threshold = breaker_threshold
-        self.breaker_probe_after = breaker_probe_after
+    block_size: int
+    pool_capacity: int = 0
+    pool_policy: str = "lru"
+    readahead_window: int = 0
+    coalesce_writes: bool = False
+    retry_policy: Optional[RetryPolicy] = None
+    io_latency: float = 0.0
+    breaker_threshold: int = 3
+    breaker_probe_after: int = 8
 
 
 class Replica:

@@ -67,12 +67,9 @@ class Shard:
     the outermost shards open-ended.
 
     ``fault_schedules`` (one per replica, ``None`` entries allowed)
-    gives every copy its own deterministic fault stream; the legacy
-    ``fault_schedule`` shorthand applies one schedule to replica 0
-    only.  ``base_store`` / ``snapstore`` / ``store`` / ``structure``
-    delegate to the current *primary* replica, so the whole
-    pre-replication API (snapshots, stats, recovery adapters) keeps
-    working unchanged.
+    gives every copy its own deterministic fault stream.  Per-replica
+    chains and structures live on :attr:`replica_set`; :attr:`primary`
+    is the replica currently serving first.
     """
 
     def __init__(
@@ -88,7 +85,6 @@ class Shard:
         pool_policy: str = "lru",
         readahead_window: int = 0,
         coalesce_writes: bool = False,
-        fault_schedule=None,
         fault_schedules: Optional[Sequence] = None,
         retry_policy: Optional[RetryPolicy] = None,
         io_latency: float = 0.0,
@@ -104,19 +100,15 @@ class Shard:
             )
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if fault_schedules is not None:
-            if fault_schedule is not None:
-                raise ValueError(
-                    "pass fault_schedule or fault_schedules, not both"
-                )
-            if len(fault_schedules) != replication_factor:
-                raise ValueError(
-                    "need one fault schedule entry per replica "
-                    f"({len(fault_schedules)} != {replication_factor})"
-                )
-            schedules = list(fault_schedules)
-        else:
-            schedules = [fault_schedule] + [None] * (replication_factor - 1)
+        schedules = (
+            [None] * replication_factor
+            if fault_schedules is None else list(fault_schedules)
+        )
+        if len(schedules) != replication_factor:
+            raise ValueError(
+                "need one fault schedule entry per replica "
+                f"({len(schedules)} != {replication_factor})"
+            )
         self.shard_id = shard_id
         self.x_lo = x_lo
         self.x_hi = x_hi
@@ -167,46 +159,15 @@ class Shard:
         )
 
     # ------------------------------------------------------------------
-    # primary-replica delegation (pre-replication API surface)
-    # ------------------------------------------------------------------
     @property
     def primary(self) -> Replica:
         """The replica currently serving as primary."""
         return self.replica_set.primary
 
     @property
-    def base_store(self):
-        """The primary replica's physical :class:`BlockStore`."""
-        return self.primary.base_store
-
-    @property
-    def checksummed(self):
-        """The primary replica's checksum layer."""
-        return self.primary.checksummed
-
-    @property
-    def snapstore(self):
-        """The primary replica's snapshot (COW) layer."""
-        return self.primary.snapstore
-
-    @property
-    def store(self):
-        """Top of the primary replica's store chain."""
-        return self.primary.store
-
-    @property
-    def _pool(self):
-        return self.primary.pool
-
-    @property
-    def structure(self):
-        """The primary replica's 3-sided structure."""
-        return self.primary.structure
-
-    @property
     def count(self) -> int:
         """Live records in this shard."""
-        return self.structure.count
+        return self.primary.structure.count
 
     def owns(self, x: float) -> bool:
         """Whether ``x`` falls in this shard's slab ``[x_lo, x_hi)``."""
@@ -283,6 +244,11 @@ class Shard:
             deadline=deadline,
         )
 
+    def all_points(self) -> List[Point]:
+        """Every live point of the slab, served like a query (caller
+        holds the reader lock)."""
+        return self.replica_set.read_any(lambda s: s.all_points())
+
     # ------------------------------------------------------------------
     def heal(self, *, locked: bool = False) -> int:
         """Rebuild any dead replicas from a healthy peer.
@@ -310,37 +276,39 @@ class Shard:
             return self._snapshot_locked()
 
     def _snapshot_locked(self) -> ShardSnapshot:
-        if self._pool is not None:
-            self._pool.flush()
-        meta = self.structure.snapshot_meta()
-        epoch = self.snapstore.open_epoch()
+        primary = self.primary
+        primary.flush()
+        meta = primary.structure.snapshot_meta()
+        epoch = primary.snapstore.open_epoch()
         counter("snapshots_opened", layer="serve").inc()
         return ShardSnapshot(
-            self.snapstore, epoch, meta, self._attach, self.x_lo, self.x_hi
+            primary.snapstore, epoch, meta, self._attach, self.x_lo, self.x_hi
         )
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Shard health: counts, physical I/O, cache and snapshot state."""
+        primary = self.primary
+        pool = primary.pool
         out = {
             "shard": self.shard_id,
             "backend": self.backend,
             "count": self.count,
             "x_lo": self.x_lo,
             "x_hi": self.x_hi,
-            "reads": self.base_store.stats.reads,
-            "writes": self.base_store.stats.writes,
-            "open_epochs": len(self.snapstore.open_epochs),
+            "reads": primary.base_store.stats.reads,
+            "writes": primary.base_store.stats.writes,
+            "open_epochs": len(primary.snapstore.open_epochs),
             "replication": self.replica_set.stats(),
         }
-        if self._pool is not None:
-            out["pool_hits"] = self._pool.hits
-            out["pool_misses"] = self._pool.misses
-            out["pool_hit_rate"] = self._pool.hit_rate
-            out["pool_policy"] = self._pool.policy.name
-            out["pool_prefetch_hits"] = self._pool.prefetch_hits
-            out["pool_prefetch_waste"] = self._pool.prefetch_waste
-            out["pool_coalesced_writes"] = self._pool.coalesced_writes
+        if pool is not None:
+            out["pool_hits"] = pool.hits
+            out["pool_misses"] = pool.misses
+            out["pool_hit_rate"] = pool.hit_rate
+            out["pool_policy"] = pool.policy.name
+            out["pool_prefetch_hits"] = pool.prefetch_hits
+            out["pool_prefetch_waste"] = pool.prefetch_waste
+            out["pool_coalesced_writes"] = pool.coalesced_writes
         return out
 
     def __repr__(self) -> str:

@@ -35,6 +35,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Set
 
 from repro.io.blockstore import Block, StorageError
+from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter, gauge
 
 
@@ -50,8 +51,8 @@ class _Epoch:
         self.next_bid = next_bid               # allocator watermark at open
 
 
-class SnapshotStore:
-    """Copy-on-write storage wrapper tracking open snapshot epochs.
+class SnapshotStore(StoreLayer):
+    """Copy-on-write storage layer tracking open snapshot epochs.
 
     Standard storage protocol; with no epoch open every operation is a
     straight pass-through adding zero physical I/O.  Thread-safe for
@@ -60,54 +61,17 @@ class SnapshotStore:
     """
 
     def __init__(self, store):
-        self._store = store
+        super().__init__(store)
         self._epochs: Dict[int, _Epoch] = {}
         self._next_epoch = 0
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # protocol delegation
-    # ------------------------------------------------------------------
-    @property
-    def block_size(self) -> int:
-        """Records per block (the wrapped store's ``B``)."""
-        return self._store.block_size
-
-    @property
-    def stats(self):
-        """Physical I/O counters of the wrapped store."""
-        return self._store.stats
-
-    @property
-    def physical_store(self):
-        """The wrapped store whose counters are the physical truth."""
-        return getattr(self._store, "physical_store", self._store)
-
-    @property
-    def crash_hook(self):
-        """Forward named crash points to the wrapped store (or None)."""
-        return getattr(self._store, "crash_hook", None)
-
-    def add_observer(self, callback) -> None:
-        """Delegate observer registration to the wrapped store."""
-        self._store.add_observer(callback)
-
-    def remove_observer(self, callback) -> None:
-        """Delegate observer removal to the wrapped store."""
-        self._store.remove_observer(callback)
-
-    def peek(self, bid: int):
-        """Pass-through inspection (no I/O charged)."""
-        return self._store.peek(bid)
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Blocks allocated on the wrapped store."""
-        return self._store.blocks_in_use
-
-    def flush(self) -> None:
-        """Pass-through flush."""
-        self._store.flush()
+    # live reads, peeks and flushes pass straight through; defined on the
+    # class so the per-layer tracer (perfbench/tracing.py) finds them in
+    # its __dict__
+    read = StoreLayer.read
+    peek = StoreLayer.peek
+    flush = StoreLayer.flush
 
     # ------------------------------------------------------------------
     # mutations (pre-image capture)
@@ -138,10 +102,6 @@ class SnapshotStore:
                 for ep in self._epochs.values():
                     ep.new.add(bid)
         return bid
-
-    def read(self, bid: int) -> Block:
-        """Live read: pass-through."""
-        return self._store.read(bid)
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Write through, preserving the pre-image for open epochs."""
@@ -251,7 +211,7 @@ class SnapshotStore:
         return f"SnapshotStore(epochs={self.open_epochs})"
 
 
-class SnapshotReader:
+class SnapshotReader(StoreLayer):
     """Read-only storage protocol over one frozen epoch.
 
     Preserved blocks come from the undo map (counted as
@@ -262,55 +222,59 @@ class SnapshotReader:
     """
 
     def __init__(self, snapstore: SnapshotStore, epoch_id: int):
+        super().__init__(snapstore)
         self._snap = snapstore
         self.epoch_id = epoch_id
 
-    @property
-    def block_size(self) -> int:
-        """Records per block (the snapshotted store's ``B``)."""
-        return self._snap.block_size
+    def _pre_image(self, bid: int):
+        with self._snap._lock:
+            ep = self._snap._epochs.get(self.epoch_id)
+            if ep is None:
+                raise StorageError(f"epoch {self.epoch_id} was closed")
+            pre = ep.undo.get(bid)
+            if pre is None and bid in ep.new:
+                raise StorageError(
+                    f"block {bid} was born after epoch {self.epoch_id}"
+                )
+            return pre
 
-    @property
-    def stats(self):
-        """Physical I/O counters of the live store (shared)."""
-        return self._snap.stats
+    def _frozen(self, bid: int, live: Callable[[int], Any]):
+        """``live(bid)``, or ``bid``'s pre-image as a fresh list.
 
-    @property
-    def physical_store(self):
-        """The live physical store (for observer co-residency)."""
-        return self._snap.physical_store
+        A writer preserves a block's pre-image *before* it overwrites or
+        frees the block, so the undo map is checked again after the
+        live access: a pre-image that appeared meanwhile means the live
+        access may have seen post-epoch data (or a freed block), and the
+        pre-image wins.  No pre-image on the re-check means no mutation
+        of ``bid`` began before it, so the live access saw the frozen
+        state.
+        """
+        pre = self._pre_image(bid)
+        if pre is None:
+            try:
+                out = live(bid)
+            except StorageError:
+                pre = self._pre_image(bid)
+                if pre is None:
+                    raise
+            else:
+                pre = self._pre_image(bid)
+                if pre is None:
+                    return out
+        return list(pre)
 
     def read(self, bid: int) -> Block:
         """Read the block as it was when the epoch opened."""
-        with self._snap._lock:
-            ep = self._snap._epochs.get(self.epoch_id)
-            if ep is None:
-                raise StorageError(f"epoch {self.epoch_id} was closed")
-            pre = ep.undo.get(bid)
-            if pre is None and bid in ep.new:
-                raise StorageError(
-                    f"block {bid} was born after epoch {self.epoch_id}"
-                )
-        if pre is not None:
-            counter("snapshot_reads", layer="serve", source="undo").inc()
-            return Block(bid, list(pre))
-        counter("snapshot_reads", layer="serve", source="live").inc()
-        return self._snap.read(bid)
+        out = self._frozen(bid, self._store.read)
+        if isinstance(out, Block):
+            counter("snapshot_reads", layer="serve", source="live").inc()
+            return out
+        counter("snapshot_reads", layer="serve", source="undo").inc()
+        return Block(bid, out)
 
     def peek(self, bid: int):
         """Inspect the frozen block without charging I/O."""
-        with self._snap._lock:
-            ep = self._snap._epochs.get(self.epoch_id)
-            if ep is None:
-                raise StorageError(f"epoch {self.epoch_id} was closed")
-            pre = ep.undo.get(bid)
-            if pre is None and bid in ep.new:
-                raise StorageError(
-                    f"block {bid} was born after epoch {self.epoch_id}"
-                )
-        if pre is not None:
-            return list(pre)
-        return self._snap.peek(bid)
+        return self._frozen(bid, self._store.peek)
 
     def write(self, bid: int, records) -> None:
         raise StorageError("snapshot readers are immutable")

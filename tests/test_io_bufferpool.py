@@ -283,13 +283,12 @@ class TestObserverParity:
 
 # ---------------------------------------------------------------------------
 # Policy-pluggable pool: eviction guard, over-capacity writes, 2Q/CLOCK
-# behaviour, readahead, coalescing, copy-on-write hits.
+# behaviour, readahead, coalescing, defensive copies on hits.
 # ---------------------------------------------------------------------------
 
 from repro.io import (  # noqa: E402
     BlockCapacityError,
     ClockPolicy,
-    CowRecords,
     LRUPolicy,
     ReplacementPolicy,
     TwoQPolicy,
@@ -712,50 +711,14 @@ class TestCoalescing:
         assert pool.coalesced_writes == 0
 
 
-class TestCowRecords:
-    def test_readers_share_mutators_copy(self):
-        backing = [1, 2, 3]
-        cow = CowRecords(backing)
-        assert cow.is_shared
-        assert list(cow) == [1, 2, 3]
-        assert len(cow) == 3 and cow[0] == 1 and 2 in cow
-        cow.append(4)
-        assert not cow.is_shared
-        assert backing == [1, 2, 3]     # the frame never saw the append
-        assert list(cow) == [1, 2, 3, 4]
-
-    def test_equality_and_concat(self):
-        cow = CowRecords([1, 2])
-        assert cow == [1, 2]
-        assert cow == CowRecords([1, 2])
-        assert cow + [3] == [1, 2, 3]
-        assert [0] + cow == [0, 1, 2]
-
-    def test_pool_hits_are_zero_copy_when_store_skips_copies(self):
-        store = BlockStore(4, copy_on_io=False)
-        pool = BufferPool(store, 2)
-        bid = store.alloc()
-        store.write(bid, [1])
-        pool.read(bid)                  # miss populates the frame
-        blk = pool.read(bid)            # hit
-        assert isinstance(blk.records, CowRecords)
-        assert blk.records.is_shared
-        blk.records.append(2)           # caller mutates their view ...
-        assert pool.read(bid).records == [1]    # ... pool frame intact
-
-    def test_defensive_pools_still_copy(self):
-        store = BlockStore(4)           # copy_on_io=True (default)
+class TestHitCopies:
+    def test_hits_return_private_copies(self):
+        store = BlockStore(4)
         pool = BufferPool(store, 2)
         bid = store.alloc()
         store.write(bid, [1])
         pool.read(bid)
         blk = pool.read(bid)
         assert isinstance(blk.records, list)
-
-    def test_explicit_override_beats_store_default(self):
-        store = BlockStore(4)           # safe store ...
-        pool = BufferPool(store, 2, copy_on_hit=False)   # ... fast pool
-        bid = store.alloc()
-        store.write(bid, [1])
-        pool.read(bid)
-        assert isinstance(pool.read(bid).records, CowRecords)
+        blk.records.append(2)           # caller mutates their copy ...
+        assert pool.read(bid).records == [1]    # ... pool frame intact

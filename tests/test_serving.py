@@ -15,7 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from tests.conftest import brute_3sided, brute_4sided, make_points
-from repro.io.blockstore import StorageError
+from repro.io.blockstore import BlockStore, StorageError
 from repro.resilience import RetryPolicy
 from repro.serve import (
     AdmissionController,
@@ -27,6 +27,27 @@ from repro.serve import (
     SnapshotStore,
 )
 from repro.workloads.traces import generate_trace
+
+
+class _RacyDisk(BlockStore):
+    """A disk that runs ``before_access`` once, just before the next
+    read or peek reaches it: a writer slipping in between a snapshot
+    reader's undo-map check and its live access."""
+
+    before_access = None
+
+    def _fire(self):
+        hook, self.before_access = self.before_access, None
+        if hook is not None:
+            hook()
+
+    def read(self, bid):
+        self._fire()
+        return super().read(bid)
+
+    def peek(self, bid):
+        self._fire()
+        return super().peek(bid)
 
 
 def oracle_results(trace, initial):
@@ -175,9 +196,9 @@ class TestShard:
         pts = make_points(rng, 200)
         sh = Shard(0, float("-inf"), float("inf"), block_size=16,
                    backend="log", points=pts)
-        before = sh.base_store.stats.copy()
+        before = sh.primary.base_store.stats.copy()
         sh.query4(0, 1000, 100, 900, spanned=True)
-        assert (sh.base_store.stats - before).ios == 0
+        assert (sh.primary.base_store.stats - before).ios == 0
 
     def test_duplicate_insert_refused(self):
         sh = Shard(0, float("-inf"), float("inf"), block_size=16,
@@ -383,6 +404,27 @@ class TestSnapshots:
         s2.close()
         eng.close()
 
+    @pytest.mark.parametrize("access", ["read", "peek"])
+    @pytest.mark.parametrize("mutation", ["overwrite", "free"])
+    def test_reader_wins_race_with_writer(self, access, mutation):
+        """A writer that preserves and then overwrites or frees a block
+        between the reader's undo-map check and its live access must
+        not leak post-epoch state into the frozen view."""
+        disk = _RacyDisk(4)
+        snap = SnapshotStore(disk)
+        bid = snap.alloc()
+        snap.write(bid, ["old"])
+        reader = snap.reader(snap.open_epoch())
+        if mutation == "overwrite":
+            disk.before_access = lambda: snap.write(bid, ["new"])
+        else:
+            disk.before_access = lambda: snap.free(bid)
+        if access == "read":
+            assert reader.read(bid).records == ["old"]
+        else:
+            assert reader.peek(bid) == ["old"]
+        assert disk.before_access is None   # the race really ran
+
 
 # ----------------------------------------------------------------------
 # admission control
@@ -552,7 +594,7 @@ class TestThreadedStress:
         final = set(pts) | {p for pool in pools for p in pool}
         assert eng.all_points() == sorted(final)
         for sh in eng.router.shards:
-            sh.structure.check_invariants()
+            sh.primary.structure.check_invariants()
         eng.close()
 
 

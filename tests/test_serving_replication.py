@@ -447,3 +447,26 @@ class TestEngineChaos:
         assert st["scrub"]["cycles"] == 1
         assert st["total_replica_writes"] > st["total_writes"]
         eng.close()
+
+    def test_all_points_fails_over_like_queries(self, rng):
+        """Rot on the primary must not break ``all_points`` while a
+        healthy peer holds the block: it heals and answers like q3."""
+        pts = make_points(rng, 600)
+        eng = ServingEngine(pts, n_shards=2, block_size=16, backend="pst",
+                            replication_factor=2)
+        disk = eng.router.shards[0].primary.base_store
+        read = []
+
+        def watch(op, bid):
+            if op == "read":
+                read.append(bid)
+
+        disk.add_observer(watch)
+        assert eng.all_points() == sorted(pts)
+        disk.remove_observer(watch)
+        disk.scribble(read[-1], [("__bitrot__", 0)])   # CRC already known
+        assert eng.all_points() == sorted(pts)
+        assert eng.query3(float("-inf"), float("inf"),
+                          float("-inf")) == sorted(pts)
+        assert eng.stats()["replication"]["read_fallbacks"] >= 1
+        eng.close()

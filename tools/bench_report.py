@@ -9,7 +9,7 @@ Three modes:
       on), then writes ``BENCH_<tag>.json`` at the repo root and prints a
       summary of the gated counters.
 
-          python tools/bench_report.py --tag pr1
+          python tools/bench_report.py --tag local
 
   compare
       Compares two bench JSON files produced by this tool (or by any
@@ -17,7 +17,7 @@ Three modes:
       gated I/O counter regressed beyond the tolerance.
 
           python tools/bench_report.py --compare BENCH_baseline.json \
-              BENCH_pr1.json --tolerance 2%
+              BENCH_local.json --tolerance 2%
 
   markdown
       Renders a bench JSON file as markdown tables.  Experiments that
@@ -26,7 +26,7 @@ Three modes:
       write-coalescing columns -- like ``perf``, informational only,
       never gated.
 
-          python tools/bench_report.py --markdown BENCH_pr1.json
+          python tools/bench_report.py --markdown BENCH_local.json
 
 Exit codes: 0 success / no regression; 1 regression or invalid input;
 2 bench suite failed to run.
@@ -128,8 +128,8 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "--tag", default="pr1",
-        help="tag for the output file BENCH_<tag>.json (default: pr1)",
+        "--tag", default="local",
+        help="tag for the output file BENCH_<tag>.json (default: local)",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("OLD", "NEW"),

@@ -19,6 +19,7 @@ MODULES = [
     "repro.io",
     "repro.io.blockstore",
     "repro.io.bufferpool",
+    "repro.io.layer",
     "repro.io.stats",
     "repro.io.trace",
     "repro.indexability.workload",
