@@ -27,15 +27,17 @@ Spans with the same name under the same parent are merged (a query that
 visits 40 leaves produces one ``pst.query.leaf`` span with
 ``entries=40``), keeping reports readable and export sizes bounded.
 
-If the storage object is a :class:`~repro.io.BufferPool`, the recorder
-additionally subscribes to its logical events and attributes cache hits
-and misses per span, so phase-level hit rates come for free.
+If the storage object is a :class:`~repro.io.BufferPool`, or a layer
+stacked above one, the recorder additionally subscribes to that pool's
+logical events and attributes cache hits and misses per span, so
+phase-level hit rates come for free.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.io.bufferpool import BufferPool
 from repro.io.stats import IOStats
 
 
@@ -145,6 +147,19 @@ def span(storage, name: str):
     return rec.span(name)
 
 
+def _pool_in_chain(storage) -> Optional[BufferPool]:
+    """The topmost :class:`~repro.io.BufferPool` at or below ``storage``.
+
+    Only a pool emits hit/miss events; every other layer forwards
+    ``add_observer`` to the physical store, where a pool handler would
+    just be a second, no-op observer of every transfer.
+    """
+    layer = storage
+    while layer is not None and not isinstance(layer, BufferPool):
+        layer = getattr(layer, "_store", None)
+    return layer
+
+
 class SpanRecorder:
     """Attach to a storage object and build a span-attribution tree.
 
@@ -164,7 +179,7 @@ class SpanRecorder:
     def __init__(self, storage):
         self._storage = storage
         self._phys = getattr(storage, "physical_store", storage)
-        self._pool = storage if storage is not self._phys else None
+        self._pool = _pool_in_chain(storage)
         self.root = Span("total")
         self.root.entries = 1
         self._stack: List[Span] = [self.root]
@@ -184,7 +199,7 @@ class SpanRecorder:
                     "another SpanRecorder is already attached to this storage"
                 )
         self._phys.add_observer(self._on_store_event)
-        if self._pool is not None and hasattr(self._pool, "add_observer"):
+        if self._pool is not None:
             self._pool.add_observer(self._on_pool_event)
         self._storage._span_recorder = self
         self._phys._span_recorder = self
@@ -196,7 +211,7 @@ class SpanRecorder:
         if not self._attached:
             return
         self._phys.remove_observer(self._on_store_event)
-        if self._pool is not None and hasattr(self._pool, "remove_observer"):
+        if self._pool is not None:
             self._pool.remove_observer(self._on_pool_event)
         for obj in (self._storage, self._phys):
             if getattr(obj, "_span_recorder", None) is self:

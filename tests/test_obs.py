@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.external_pst import ExternalPrioritySearchTree
-from repro.io import BlockStore, BufferPool
+from repro.io import BlockStore, BufferPool, ChecksummedStore, StoreLayer
 from repro.io.stats import IOStats, Meter
 from repro.obs.export import (
     SCHEMA_NAME,
@@ -263,6 +263,50 @@ class TestSpans:
         hot = rec.root.children["hot"]
         assert hot.pool_hits == 2
         assert hot.stats.reads == 0     # served from cache: no physical I/O
+
+    def test_non_pool_layer_adds_one_observer(self):
+        # a checksum layer forwards add_observer to the block store:
+        # the recorder must subscribe there once, not once per handler
+        store = BlockStore(4)
+        rec = SpanRecorder(ChecksummedStore(store))
+        with rec:
+            assert len(store._observers) == 1
+            with rec.span("io"):
+                _traffic(rec._storage, 2)
+        assert store._observers == []
+        assert rec.root.children["io"].stats.reads == 2
+
+    def test_pool_events_reach_recorder_on_pool(self):
+        store = BlockStore(4)
+        pool = BufferPool(store, capacity=4)
+        rec = SpanRecorder(pool)
+        with rec:
+            assert len(store._observers) == 1
+            assert len(pool._observers) == 1
+            with rec.span("io"):
+                _traffic(pool, 2)
+        assert store._observers == [] and pool._observers == []
+        io = rec.root.children["io"]
+        assert io.pool_hits == 2 and io.stats.reads == 0
+
+    def test_pool_events_reach_recorder_above_pool(self):
+        # a layer stacked over the pool: hits and misses still land on
+        # the recorder's spans, and detach removes every subscription
+        store = BlockStore(4)
+        pool = BufferPool(store, capacity=1)
+        top = StoreLayer(pool)
+        bids = _traffic(top, 2)          # capacity 1: the first is evicted
+        rec = SpanRecorder(top)
+        with rec:
+            assert len(store._observers) == 1
+            assert len(pool._observers) == 1
+            with rec.span("io"):
+                top.read(bids[1])
+                top.read(bids[0])
+        assert store._observers == [] and pool._observers == []
+        io = rec.root.children["io"]
+        assert (io.pool_hits, io.pool_misses) == (1, 1)
+        assert io.stats.reads == 1
 
     def test_as_dict_and_report(self):
         store = BlockStore(4)

@@ -1,12 +1,131 @@
 """Tests for the static variants (Section 5's practical recommendation)."""
 
+import random
+
 import pytest
 
-from repro.io import BlockStore
+from repro.geometry import INF, NEG_INF, Orientation
+from repro.io import BlockStore, StoreLayer
 from repro.io.stats import Meter
 from repro.core.static_index import StaticFourSidedIndex, StaticThreeSidedIndex
 from repro.core.external_pst import ExternalPrioritySearchTree
+from repro.core.threesided_scheme import block_live_at
 from tests.conftest import brute_3sided, brute_4sided, make_points
+
+
+def reference_candidates(meta, **bounds):
+    """Independent oracle: a linear filter over the snapshot's catalog,
+    in catalog order -- the block ids a query must read."""
+    q = Orientation(meta["orientation"]).query_to_canonical(**bounds)
+    return [
+        bid
+        for (x_lo, x_hi, y_from, y_to, _block), bid in meta["catalog"]
+        if block_live_at(y_from, y_to, q.c) and x_lo <= q.b and x_hi >= q.a
+    ]
+
+
+class HintRecorder(StoreLayer):
+    """Records every prefetch hint and every block read, in order."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.hints = []
+        self.reads = []
+
+    def prefetch_hint(self, bids):
+        self.hints.append(list(bids))
+
+    def read(self, bid):
+        self.reads.append(bid)
+        return self._store.read(bid)
+
+
+# original-frame bounds of the canonical query (a, b, c), and the
+# original-frame predicate it selects, per open side
+_BOUNDS = {
+    "up": lambda a, b, c: dict(x_lo=a, x_hi=b, y_lo=c),
+    "down": lambda a, b, c: dict(x_lo=a, x_hi=b, y_hi=-c),
+    "right": lambda a, b, c: dict(y_lo=a, y_hi=b, x_lo=c),
+    "left": lambda a, b, c: dict(y_lo=a, y_hi=b, x_hi=-c),
+}
+_PRED = {
+    "up": lambda p, k: k["x_lo"] <= p[0] <= k["x_hi"] and p[1] >= k["y_lo"],
+    "down": lambda p, k: k["x_lo"] <= p[0] <= k["x_hi"] and p[1] <= k["y_hi"],
+    "right": lambda p, k: k["y_lo"] <= p[1] <= k["y_hi"] and p[0] >= k["x_lo"],
+    "left": lambda p, k: k["y_lo"] <= p[1] <= k["y_hi"] and p[0] <= k["x_hi"],
+}
+
+
+def _grid_points(rng, n, width):
+    """n distinct integer points on a width x width grid, so x and y
+    values repeat."""
+    cells = rng.sample(range(width * width), n)
+    return [(cell % width, cell // width) for cell in cells]
+
+
+def _queries(rng, pts, side):
+    """Canonical (a, b, c) triples covering c = -inf, +inf and exact
+    point levels, a == b, and random ranges."""
+    orient = Orientation(side)
+    canon = [orient.to_canonical(p) for p in pts] or [(0, 0)]
+    xs = sorted({p[0] for p in canon})
+    ys = sorted({p[1] for p in canon})
+    levels = [NEG_INF, INF] + ys[:3] + ys[-2:] + rng.sample(ys, min(4, len(ys)))
+    out = []
+    for c in levels:
+        x = rng.choice(xs)
+        out.append((x, x, c))                        # a == b
+        a, b = sorted(rng.sample(xs, 2)) if len(xs) > 1 else (xs[0], xs[0])
+        out.append((a, b, c))
+        out.append((NEG_INF, INF, c))
+        out.append((a - 0.5, b + 0.5, c + 0.5))      # between grid values
+    return out
+
+
+class TestCandidateIndexDifferential:
+    """The interval index against a brute-force catalog filter."""
+
+    def _check_handle(self, idx, rec, pts, side, queries):
+        meta = idx.snapshot_meta()
+        for a, b, c in queries:
+            bounds = _BOUNDS[side](a, b, c)
+            expected = reference_candidates(meta, **bounds)
+            assert idx.candidate_blocks(**bounds) == len(expected)
+            rec.hints.clear()
+            rec.reads.clear()
+            got = idx.query(**bounds)
+            assert rec.reads == expected
+            assert rec.hints == ([expected] if len(expected) > 1 else [])
+            assert sorted(got) == sorted(
+                p for p in pts if _PRED[side](p, bounds))
+
+    @pytest.mark.parametrize("side", ["up", "down", "left", "right"])
+    @pytest.mark.parametrize("B", [2, 4, 32])
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_matches_catalog_filter(self, side, B, alpha):
+        rng = random.Random(f"{side}-{B}-{alpha}")
+        # n = 0 is the empty index
+        for n, width in ((0, 4), (1, 4), (7, 3), (60, 10), (150, 14)):
+            pts = _grid_points(rng, n, width)
+            rec = HintRecorder(BlockStore(B))
+            idx = StaticThreeSidedIndex(rec, pts, alpha=alpha, orientation=side)
+            idx.check_invariants()
+            queries = _queries(rng, pts, side)
+            self._check_handle(idx, rec, pts, side, queries)
+            again = StaticThreeSidedIndex.attach(rec, idx.snapshot_meta())
+            self._check_handle(again, rec, pts, side, queries)
+            again.check_invariants()
+
+    def test_broken_run_order_is_caught(self, rng):
+        idx = StaticThreeSidedIndex(BlockStore(4), make_points(rng, 80))
+        run = idx._index
+        # swap two x_hi values inside the longest run
+        lengths = [run.off[v + 1] - run.off[v] for v in range(len(run.off) - 1)]
+        v = max(range(len(lengths)), key=lengths.__getitem__)
+        k = run.off[v]
+        run.xhi[k], run.xhi[k + 1] = run.xhi[k + 1], run.xhi[k]
+        with pytest.raises(AssertionError):
+            idx.check_invariants()
 
 
 class TestStaticThreeSided:
@@ -41,11 +160,12 @@ class TestStaticThreeSided:
         store = BlockStore(B)
         pts = make_points(rng, 600)
         idx = StaticThreeSidedIndex(store, pts)
+        meta = idx.snapshot_meta()
         for _ in range(30):
             a = rng.uniform(0, 1000)
             b = a + rng.uniform(0, 300)
             c = rng.uniform(0, 1000)
-            expected = idx.candidate_blocks(x_lo=a, x_hi=b, y_lo=c)
+            expected = len(reference_candidates(meta, x_lo=a, x_hi=b, y_lo=c))
             with Meter(store) as m:
                 idx.query(x_lo=a, x_hi=b, y_lo=c)
             assert m.delta.reads == expected
