@@ -68,9 +68,9 @@ class BufferPool(StoreLayer):
         accounted separately (the paper's resident catalog blocks).
     policy:
         Replacement policy: a name from
-        :data:`repro.io.policies.POLICIES`, a policy class, or a ready
-        instance.  Default ``"lru"`` reproduces the original pool's
-        eviction sequence exactly.
+        :data:`repro.io.policies.POLICIES` or a ready instance.  Default
+        ``"lru"`` reproduces the original pool's eviction sequence
+        exactly.
     readahead_window:
         Maximum blocks fetched ahead per logical miss along a learned
         CONT chain.  ``0`` (default) disables readahead entirely:
@@ -88,7 +88,7 @@ class BufferPool(StoreLayer):
         store: BlockStore,
         capacity: int,
         *,
-        policy: "Union[str, ReplacementPolicy, type]" = "lru",
+        policy: "Union[str, ReplacementPolicy]" = "lru",
         readahead_window: int = 0,
         coalesce_writes: bool = False,
     ):

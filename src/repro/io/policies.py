@@ -251,14 +251,11 @@ POLICIES: Dict[str, Type[ReplacementPolicy]] = {
 
 
 def make_policy(
-    policy: Union[str, ReplacementPolicy, Type[ReplacementPolicy]],
-    capacity: int,
+    policy: Union[str, ReplacementPolicy], capacity: int
 ) -> ReplacementPolicy:
-    """Resolve a policy spec: a name, a class, or a ready instance."""
+    """Resolve a policy spec: a name or a ready instance."""
     if isinstance(policy, ReplacementPolicy):
         return policy
-    if isinstance(policy, type) and issubclass(policy, ReplacementPolicy):
-        return policy(capacity)
     try:
         return POLICIES[policy](capacity)
     except KeyError:

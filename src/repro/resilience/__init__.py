@@ -8,7 +8,7 @@ touching the structures' logic:
   seed-scheduled injection of read/write errors, torn writes and
   crashes, with a byte-reproducible fault log.
 - :class:`RetryPolicy` / :class:`RetryingStore` -- bounded exponential
-  backoff over transient faults, fail-fast or degrade.
+  backoff over transient faults; permanent faults fail fast.
 - :class:`JournaledStore` -- write-ahead-journal transactions making
   multi-block updates atomic, with :meth:`JournaledStore.recover`
   restoring the last committed state after any crash.

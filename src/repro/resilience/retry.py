@@ -8,19 +8,12 @@ exponentially growing capped delays, and a metrics trail
 (``retries{layer=retry,outcome=...}``) so bench exports show what the
 fault layer cost.
 
-Two failure modes, chosen per policy:
-
-- **fail-fast** (default): permanent errors raise immediately;
-  exhausting the attempt budget raises
-  :class:`~repro.resilience.errors.RetryExhaustedError` chained to the
-  last error.  This is the right mode under a journal, where the txn
-  will be rolled back and retried wholesale.
-- **degrade**: callers that can serve a partial answer pass
-  ``fallback=...`` to :meth:`RetryPolicy.call`; on a permanent error or
-  an exhausted budget the fallback value is returned instead of
-  raising (and counted as ``outcome=degraded``).  Without a fallback,
-  degrade behaves like fail-fast -- a block store read has no safe
-  partial answer, so :class:`RetryingStore` never degrades silently.
+Permanent errors raise immediately, and exhausting the attempt budget
+raises :class:`~repro.resilience.errors.RetryExhaustedError` chained to
+the last error.  A block read or write has no safe partial answer, so
+the policy never substitutes one: under a journal the transaction is
+rolled back and retried wholesale, and in the serving tier the replica
+set fails over to a peer copy.
 
 Delays default to *simulated* time: with ``sleep=None`` the policy
 accumulates what it would have slept in :attr:`RetryPolicy.total_backoff`
@@ -34,13 +27,7 @@ from typing import Any, Callable, Iterable, List, Optional
 
 from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter
-from repro.resilience.errors import (
-    PermanentIOError,
-    RetryExhaustedError,
-    TransientIOError,
-)
-
-_MISSING = object()
+from repro.resilience.errors import RetryExhaustedError, TransientIOError
 
 
 class RetryPolicy:
@@ -53,18 +40,14 @@ class RetryPolicy:
         base_delay: float = 0.001,
         max_delay: float = 0.25,
         multiplier: float = 2.0,
-        mode: str = "fail-fast",
         sleep: Optional[Callable[[float], None]] = None,
     ):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if mode not in ("fail-fast", "degrade"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.max_attempts = max_attempts
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.multiplier = multiplier
-        self.mode = mode
         self.sleep = sleep
         self.total_backoff = 0.0   # simulated seconds waited
         self.attempts = 0          # calls into the protected function
@@ -83,13 +66,13 @@ class RetryPolicy:
         if self.sleep is not None:
             self.sleep(d)
 
-    def call(self, fn: Callable, *args, fallback: Any = _MISSING, **kwargs):
+    def call(self, fn: Callable, *args, **kwargs):
         """Run ``fn(*args, **kwargs)`` under this policy.
 
-        Retries :class:`TransientIOError`; handles
-        :class:`PermanentIOError` and budget exhaustion per mode (see
-        module docstring).  ``SimulatedCrash`` is a ``BaseException``
-        and is never caught here: dead processes do not retry.
+        Retries :class:`TransientIOError`.  A permanent error propagates
+        at once; an exhausted budget raises :class:`RetryExhaustedError`.
+        ``SimulatedCrash`` is a ``BaseException`` and is never caught
+        here: dead processes do not retry.
         """
         last: Optional[Exception] = None
         for attempt in range(self.max_attempts):
@@ -102,18 +85,10 @@ class RetryPolicy:
                 if attempt + 1 < self.max_attempts:
                     self._backoff(attempt)
                 continue
-            except PermanentIOError as exc:
-                if self.mode == "degrade" and fallback is not _MISSING:
-                    counter("retries", layer="retry", outcome="degraded").inc()
-                    return fallback
-                raise
             if attempt > 0:
                 counter("retries", layer="retry", outcome="recovered").inc()
             return result
         counter("retries", layer="retry", outcome="gave_up").inc()
-        if self.mode == "degrade" and fallback is not _MISSING:
-            counter("retries", layer="retry", outcome="degraded").inc()
-            return fallback
         raise RetryExhaustedError(
             f"gave up after {self.max_attempts} attempts"
         ) from last
@@ -123,9 +98,7 @@ class RetryingStore(StoreLayer):
     """Storage layer applying a :class:`RetryPolicy` to every operation.
 
     Structures opt into retries by wrapping their store; the protocol
-    is unchanged.  Reads and writes have no safe partial answer, so no
-    fallback is ever supplied: a degrade-mode policy still raises here.
-    ``peek`` and ``flush`` pass through without retries.
+    is unchanged.  ``peek`` and ``flush`` pass through without retries.
     """
 
     def __init__(self, store, policy: Optional[RetryPolicy] = None):

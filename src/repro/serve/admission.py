@@ -29,6 +29,10 @@ from repro.obs.metrics import counter, gauge
 
 _UNSET = object()
 
+#: Share of the wait queue that, once filled behind a saturated engine,
+#: raises the :meth:`AdmissionController.backpressure` signal.
+HIGH_WATERMARK = 0.5
+
 
 class EngineOverloaded(RuntimeError):
     """The admission controller shed this request (queue full)."""
@@ -52,7 +56,6 @@ class AdmissionController:
         max_inflight: int = 4,
         max_queue: int = 16,
         policy: str = "block",
-        high_watermark: float = 0.5,
         max_wait: Optional[float] = None,
     ):
         if max_inflight < 1:
@@ -61,15 +64,13 @@ class AdmissionController:
             raise ValueError("max_queue must be >= 0")
         if policy not in ("block", "shed"):
             raise ValueError("policy must be 'block' or 'shed'")
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError("high_watermark must be in (0, 1]")
         if max_wait is not None and max_wait < 0:
             raise ValueError("max_wait must be >= 0 (or None)")
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.policy = policy
         self.max_wait = max_wait
-        self._hwm = max(1, int(max_queue * high_watermark)) if max_queue else 1
+        self._hwm = max(1, int(max_queue * HIGH_WATERMARK)) if max_queue else 1
         self._cond = threading.Condition()
         self._inflight = 0
         self._waiting = 0

@@ -46,6 +46,7 @@ from repro.serve.executor import (
     PartialResult,
     merge_slabs,
 )
+from repro.serve.replication import ReplicaSpec
 from repro.serve.scrub import Scrubber
 from repro.serve.shards import Shard, SlabRouter
 from repro.serve.snapshots import ShardSnapshot
@@ -129,10 +130,7 @@ class ServingEngine:
         fault_rates: Optional[dict] = None,
         retry_policy: Optional[RetryPolicy] = None,
         extent: float = 1000.0,
-        backend_kwargs: Optional[dict] = None,
         replication_factor: int = 1,
-        breaker_threshold: int = 3,
-        breaker_probe_after: int = 8,
     ):
         pts = [(float(p[0]), float(p[1])) for p in points]
         if len(set(pts)) != len(pts):
@@ -147,6 +145,15 @@ class ServingEngine:
             # injected faults without a retry layer would surface every
             # transient as a caller-visible error; pair them by default
             retry_policy = RetryPolicy(max_attempts=4)
+        spec = ReplicaSpec(
+            block_size,
+            pool_capacity=pool_capacity,
+            pool_policy=pool_policy,
+            readahead_window=readahead_window,
+            coalesce_writes=coalesce_writes,
+            retry_policy=retry_policy,
+            io_latency=io_latency,
+        )
         shards: List[Shard] = []
         for i in range(n_shards):
             lo, hi = edges[i], edges[i + 1]
@@ -164,23 +171,11 @@ class ServingEngine:
                 ]
             shards.append(
                 Shard(
-                    i,
-                    lo,
-                    hi,
-                    block_size=block_size,
+                    i, lo, hi, spec,
                     backend=backend,
                     points=mine,
-                    pool_capacity=pool_capacity,
-                    pool_policy=pool_policy,
-                    readahead_window=readahead_window,
-                    coalesce_writes=coalesce_writes,
                     fault_schedules=schedules,
-                    retry_policy=retry_policy,
-                    io_latency=io_latency,
-                    backend_kwargs=backend_kwargs,
                     replication_factor=replication_factor,
-                    breaker_threshold=breaker_threshold,
-                    breaker_probe_after=breaker_probe_after,
                 )
             )
         self.router = SlabRouter(shards, boundaries)
@@ -345,43 +340,26 @@ class ServingEngine:
         """
         admission = self.admission.snapshot()
         shards = self.router.shards
+        shard_stats = [sh.stats() for sh in shards]
+        per_shard = [st["replication"] for st in shard_stats]
         replication = {
-            "factor": max(sh.replica_set.factor for sh in shards),
-            "live_replicas": sum(len(sh.replica_set.live) for sh in shards),
-            "failovers": sum(sh.replica_set.failovers for sh in shards),
-            "rebuilds": sum(sh.replica_set.rebuilds for sh in shards),
-            "rebuild_failures": sum(
-                sh.replica_set.rebuild_failures for sh in shards
-            ),
-            "read_fallbacks": sum(
-                sh.replica_set.read_fallbacks for sh in shards
-            ),
-            "breaker_opened": sum(
-                r.breaker.times_opened
-                for sh in shards
-                for r in sh.replica_set.replicas
-            ),
-            "crc_mismatches": sum(
-                r.checksummed.mismatches
-                for sh in shards
-                for r in sh.replica_set.replicas
-            ),
+            "factor": max(rs["factor"] for rs in per_shard),
+            "live_replicas": sum(rs["live"] for rs in per_shard),
         }
+        for key in ("failovers", "rebuilds", "rebuild_failures",
+                    "read_fallbacks", "breaker_opened", "crc_mismatches"):
+            replication[key] = sum(rs[key] for rs in per_shard)
         return {
             "count": self.count,
             "n_shards": len(self.router),
             "boundaries": list(self.router.boundaries),
-            "shards": [sh.stats() for sh in shards],
+            "shards": shard_stats,
             "admission": admission,
             "shed_rate": admission["shed_rate"],
             "replication": replication,
             "scrub": self.scrubber.summary(),
-            "total_reads": sum(
-                sh.primary.base_store.stats.reads for sh in shards
-            ),
-            "total_writes": sum(
-                sh.primary.base_store.stats.writes for sh in shards
-            ),
+            "total_reads": sum(st["reads"] for st in shard_stats),
+            "total_writes": sum(st["writes"] for st in shard_stats),
             "total_replica_reads": sum(
                 r.base_store.stats.reads
                 for sh in shards

@@ -43,6 +43,7 @@ from repro.serve.shards import Shard, SlabRouter
 Op = Tuple[str, object]
 
 _WRITES = ("ins", "del")
+_QUERIES = ("q3", "q4")
 
 
 class ShardTaskError(RuntimeError):
@@ -168,7 +169,7 @@ class BatchExecutor:
                 queues.setdefault(sh.shard_id, []).append(
                     (idx, kind, tuple(arg), False)
                 )
-            elif kind in ("q3", "q4"):
+            elif kind in _QUERIES:
                 a, b = arg[0], arg[1]
                 for sh in self._router.shards_for_range(a, b):
                     queues.setdefault(sh.shard_id, []).append(
@@ -263,7 +264,12 @@ class BatchExecutor:
             ))
             for sid in sorted(queues)
         ]
-        results: List[object] = [None] * len(ops)
+        # a query whose x-range is empty (b < a) routes to no shard and
+        # answers []; every other entry is filled from the shard tasks
+        results: List[object] = [
+            [] if kind in _QUERIES and arg[1] < arg[0] else None
+            for kind, arg in ops
+        ]
         query_parts: Dict[int, List[list]] = {}
         served: List[int] = []
         missing: List[int] = []
@@ -277,7 +283,7 @@ class BatchExecutor:
                 continue
             (served if finished else missing).append(shard_id)
             for idx, value in partial.items():
-                if ops[idx][0] in ("q3", "q4"):
+                if ops[idx][0] in _QUERIES:
                     query_parts.setdefault(idx, []).append(value)
                 else:
                     results[idx] = value
@@ -316,39 +322,29 @@ class BatchExecutor:
                 with sh.lock.write_locked():
                     if kind == "ins":
                         sh.insert(arg)
-                        results[idx] = None
                     else:
                         results[idx] = sh.delete(arg)
-            elif kind == "q3":
-                a, b, _c = arg
-                merged: List[tuple] = []
+            elif kind in _QUERIES:
+                a, b = arg[0], arg[1]
+                parts = []
                 for sh in self._router.shards_for_range(a, b):
                     touched.add(sh.shard_id)
                     with sh.lock.read_locked():
-                        merged.extend(sh.query3(*arg))
-                results[idx] = sorted(merged)
-            elif kind == "q4":
-                a, b, _c, _d = arg
-                merged = []
-                for sh in self._router.shards_for_range(a, b):
-                    touched.add(sh.shard_id)
-                    with sh.lock.read_locked():
-                        merged.extend(
-                            sh.query4(*arg, spanned=sh.covered_by(a, b))
-                        )
-                results[idx] = sorted(merged)
+                        if kind == "q3":
+                            parts.append(sh.query3(*arg))
+                        else:
+                            parts.append(
+                                sh.query4(*arg, spanned=sh.covered_by(a, b))
+                            )
+                results[idx] = merge_slabs(parts)
             else:
                 raise ValueError(f"unknown op kind {kind!r}")
-        wall = time.perf_counter() - t0
-        stats: Dict[str, int] = {}
-        for kind, _arg in ops:
-            stats[kind] = stats.get(kind, 0) + 1
         return BatchResult(
             results=results,
-            wall_s=wall,
+            wall_s=time.perf_counter() - t0,
             n_ops=len(ops),
             shards_touched=len(touched),
-            counts=stats,
+            counts=count_kinds(ops),
         )
 
     def close(self) -> None:

@@ -62,6 +62,12 @@ from repro.serve.snapshots import SnapshotStore
 #: ``SimulatedCrash`` is a BaseException and always propagates.
 FAILOVER_ERRORS = (FaultInjectionError, CorruptBlockError)
 
+#: Abort/heal/retry attempts per replica per op.  An op writing W blocks
+#: survives an attempt with probability ~(1 - corrupt_rate)**W, so the
+#: bound is a fixed budget, not a function of store size; exhausting it
+#: rejects the op cleanly (all replicas rolled back).
+OP_RETRY_BOUND = 64
+
 
 class ReplicaSetExhausted(RuntimeError):
     """Every replica of a shard failed the operation."""
@@ -160,9 +166,10 @@ class CircuitBreaker:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplicaSpec:
-    """The chain recipe shared by every replica of one shard."""
+    """The chain recipe shared by every replica of every shard (the
+    engine builds one; a rebuilt replica reuses it)."""
 
     block_size: int
     pool_capacity: int = 0
@@ -171,8 +178,6 @@ class ReplicaSpec:
     coalesce_writes: bool = False
     retry_policy: Optional[RetryPolicy] = None
     io_latency: float = 0.0
-    breaker_threshold: int = 3
-    breaker_probe_after: int = 8
 
 
 class Replica:
@@ -223,9 +228,7 @@ class Replica:
             )
         self.store = store
         self.structure: Any = None
-        self.breaker = CircuitBreaker(
-            spec.breaker_threshold, spec.breaker_probe_after, labels=labels
-        )
+        self.breaker = CircuitBreaker(labels=labels)
         self.alive = True
         self.failed_reason: Optional[str] = None
 
@@ -270,22 +273,12 @@ class ReplicaSet:
         replicas: List[Replica],
         *,
         attach: Callable[[Any, Any], Any],
-        auto_rebuild: bool = True,
-        op_retry_bound: int = 64,
     ):
         if not replicas:
             raise ValueError("need at least one replica")
-        if op_retry_bound < 1:
-            raise ValueError("op_retry_bound must be >= 1")
         self.shard_id = shard_id
         self.replicas = list(replicas)
         self._attach = attach
-        self.auto_rebuild = auto_rebuild
-        #: abort/heal/retry attempts per replica per op.  An op writing W
-        #: blocks survives an attempt with probability ~(1 - corrupt_rate)**W,
-        #: so the bound is a fixed budget, not a function of store size;
-        #: exhausting it rejects the op cleanly (all replicas rolled back).
-        self.op_retry_bound = op_retry_bound
         self.failovers = 0
         self.rebuilds = 0
         self.rebuild_failures = 0
@@ -361,8 +354,7 @@ class ReplicaSet:
                 r.fail(f"diverged: peer acked an op this replica failed")
             self.failovers += 1
             counter("failovers", layer="serve").inc()
-        if self.auto_rebuild:
-            self.rebuild_dead()
+        self.rebuild_dead()
         return result
 
     def _apply_one(self, r: Replica, fn: Callable[[Any], Any]):
@@ -385,7 +377,7 @@ class ReplicaSet:
         is acked.
         """
         last_exc: Optional[Exception] = None
-        for _ in range(self.op_retry_bound):
+        for _ in range(OP_RETRY_BOUND):
             r.flush()
             meta = r.structure.snapshot_meta()
             epoch = r.snapstore.open_epoch()
@@ -566,7 +558,7 @@ class ReplicaSet:
                     f"fallback replica could answer"
                 )
             tried += 1
-            for attempt in range(self.op_retry_bound):
+            for _ in range(OP_RETRY_BOUND):
                 try:
                     out = fn(r.structure)
                 except FAILOVER_ERRORS as exc:

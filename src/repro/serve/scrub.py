@@ -36,9 +36,8 @@ from repro.resilience.errors import FaultInjectionError
 class Scrubber:
     """Walk replica blocks, cross-check CRCs, repair from healthy peers."""
 
-    def __init__(self, shards, *, lock_timeout: Optional[float] = None):
+    def __init__(self, shards):
         self._shards = list(shards)
-        self.lock_timeout = lock_timeout
         self.cycles = 0
         self.blocks_checked = 0
         self.repairs = 0
@@ -52,12 +51,9 @@ class Scrubber:
         """One full deterministic pass over every shard's replicas.
 
         ``lock_timeout`` bounds the wait for each shard's writer lock
-        (falling back to the constructor's value; ``None`` waits
-        forever).  Returns a summary dict; cumulative totals live on
-        the scrubber and in the metrics registry.
+        (``None`` waits forever).  Returns a summary dict; cumulative
+        totals live on the scrubber and in the metrics registry.
         """
-        if lock_timeout is None:
-            lock_timeout = self.lock_timeout
         checked = repaired = unrepaired = skipped = 0
         for shard in self._shards:
             if not shard.lock.acquire_write(timeout=lock_timeout):

@@ -30,12 +30,11 @@ on the slab boundaries.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.core.log_method import LogMethodThreeSidedIndex
 from repro.obs.metrics import counter
-from repro.resilience.retry import RetryPolicy
 from repro.serve.deadline import Deadline
 from repro.serve.locks import ReadWriteLock
 from repro.serve.replication import Replica, ReplicaSet, ReplicaSpec
@@ -43,18 +42,13 @@ from repro.serve.snapshots import ShardSnapshot
 
 Point = Tuple[float, float]
 
-# Backend registry: (build, attach) per selectable 3-sided structure.
-# Both present the same surface: query(a, b, c), insert(x, y),
-# delete(x, y) -> bool, count, all_points(), snapshot_meta()/attach().
-BACKENDS: Dict[str, Tuple[Callable, Callable]] = {
-    "pst": (
-        lambda store, pts, kw: ExternalPrioritySearchTree(store, pts, **kw),
-        ExternalPrioritySearchTree.attach,
-    ),
-    "log": (
-        lambda store, pts, kw: LogMethodThreeSidedIndex(store, pts, **kw),
-        LogMethodThreeSidedIndex.attach,
-    ),
+# Backend registry: the selectable 3-sided structures.  Each class builds
+# as cls(store, points) and remounts as cls.attach(store, meta), and both
+# present the same surface: query(a, b, c), insert(x, y),
+# delete(x, y) -> bool, count, all_points(), snapshot_meta().
+BACKENDS: Dict[str, type] = {
+    "pst": ExternalPrioritySearchTree,
+    "log": LogMethodThreeSidedIndex,
 }
 
 
@@ -66,6 +60,7 @@ class Shard:
     ``x_hi`` bound the owned slab as ``[x_lo, x_hi)``; the router makes
     the outermost shards open-ended.
 
+    ``spec`` is the store-chain recipe every replica is built from;
     ``fault_schedules`` (one per replica, ``None`` entries allowed)
     gives every copy its own deterministic fault stream.  Per-replica
     chains and structures live on :attr:`replica_set`; :attr:`primary`
@@ -77,29 +72,17 @@ class Shard:
         shard_id: int,
         x_lo: float,
         x_hi: float,
+        spec: ReplicaSpec,
         *,
-        block_size: int = 32,
         backend: str = "pst",
         points: Sequence[Point] = (),
-        pool_capacity: int = 0,
-        pool_policy: str = "lru",
-        readahead_window: int = 0,
-        coalesce_writes: bool = False,
         fault_schedules: Optional[Sequence] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        io_latency: float = 0.0,
-        backend_kwargs: Optional[dict] = None,
         replication_factor: int = 1,
-        breaker_threshold: int = 3,
-        breaker_probe_after: int = 8,
-        auto_rebuild: bool = True,
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}"
             )
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
         schedules = (
             [None] * replication_factor
             if fault_schedules is None else list(fault_schedules)
@@ -115,21 +98,11 @@ class Shard:
         self.backend = backend
         self.lock = ReadWriteLock()
 
-        spec = ReplicaSpec(
-            block_size,
-            pool_capacity=pool_capacity,
-            pool_policy=pool_policy,
-            readahead_window=readahead_window,
-            coalesce_writes=coalesce_writes,
-            retry_policy=retry_policy,
-            io_latency=io_latency,
-            breaker_threshold=breaker_threshold,
-            breaker_probe_after=breaker_probe_after,
-        )
         mine = sorted(
             (float(p[0]), float(p[1])) for p in points
         )
-        build, self._attach = BACKENDS[backend]
+        build = BACKENDS[backend]
+        self._attach = build.attach
         replicas = []
         for j in range(replication_factor):
             r = Replica(
@@ -143,14 +116,12 @@ class Shard:
             # born healthy and the hostile environment tests serving only
             if r.faulty is not None:
                 r.faulty.armed = False
-            r.structure = build(r.store, mine, backend_kwargs or {})
+            r.structure = build(r.store, mine)
             r.flush()
             if r.faulty is not None:
                 r.faulty.armed = True
             replicas.append(r)
-        self.replica_set = ReplicaSet(
-            shard_id, replicas, attach=self._attach, auto_rebuild=auto_rebuild
-        )
+        self.replica_set = ReplicaSet(shard_id, replicas, attach=self._attach)
         # y-ordered directory for fully-spanned 4-sided queries: kept in
         # memory like the static index's catalog (O(n) words), it turns
         # an interior shard's q4 into zero disk I/O.
@@ -250,14 +221,9 @@ class Shard:
         return self.replica_set.read_any(lambda s: s.all_points())
 
     # ------------------------------------------------------------------
-    def heal(self, *, locked: bool = False) -> int:
-        """Rebuild any dead replicas from a healthy peer.
-
-        Takes the writer lock unless the caller already holds it and
-        passes ``locked=True``.  Returns the number rebuilt.
-        """
-        if locked:
-            return self.replica_set.rebuild_dead()
+    def heal(self) -> int:
+        """Rebuild any dead replicas from a healthy peer, under the
+        writer lock.  Returns the number rebuilt."""
         with self.lock.write_locked():
             return self.replica_set.rebuild_dead()
 

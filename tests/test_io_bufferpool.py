@@ -537,10 +537,11 @@ class TestMakePolicy:
         with pytest.raises(ValueError, match="unknown replacement policy"):
             make_policy("mru", 4)
 
-    def test_accepts_class_and_instance(self):
-        assert isinstance(make_policy(LRUPolicy, 4), LRUPolicy)
+    def test_accepts_instance_rejects_class(self):
         inst = TwoQPolicy(4)
         assert make_policy(inst, 99) is inst
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            make_policy(LRUPolicy, 4)
 
     def test_pool_rejects_negative_window(self):
         store = BlockStore(4)

@@ -13,9 +13,15 @@ import random
 import pytest
 
 from repro.core.scheduling import CreditScheduler
-from repro.io import BlockStore, BufferPool, ChecksummedStore
+from repro.io import BlockStore, BufferPool, ChecksummedStore, StorageError
 from repro.core.external_pst import ExternalPrioritySearchTree
-from repro.resilience import pst_adapter, verify_recovery
+from repro.resilience import (
+    FaultSchedule,
+    FaultyStore,
+    SimulatedCrash,
+    pst_adapter,
+    verify_recovery,
+)
 from repro.resilience.verifier import StructureAdapter
 from repro.serve import SnapshotStore
 
@@ -184,6 +190,79 @@ class TestVerifyRecovery:
         report = verify_recovery(pts, block_size=16, seed=3, n_crashes=6)
         s = report.summary()
         assert "B=16" in s and "seed=3" in s and "crashes" in s
+
+
+def _crash_inside_epoch(pts, site, *, rollback=False):
+    """Insert ``pts`` one by one into a B=8 PST over
+    ``FaultyStore(SnapshotStore(ChecksummedStore(BlockStore)))``, each
+    insert inside a copy-on-write epoch, until the insert that reaches
+    named crash point ``site`` dies.  On ``SimulatedCrash`` the epoch is
+    closed, as ``ReplicaSet._apply_one`` does, or rolled back first
+    when ``rollback`` is set.  Returns the surviving disk, the pre-op
+    meta and the points inserted before the crash."""
+    base = BlockStore(8)
+    snap = SnapshotStore(ChecksummedStore(base))
+    faulty = FaultyStore(snap, FaultSchedule(0, crash_at_points=(site,)))
+    pst = ExternalPrioritySearchTree(faulty, allow_spill=True)
+    for i, p in enumerate(pts):
+        meta = pst.snapshot_meta()
+        epoch = snap.open_epoch()
+        try:
+            pst.insert(*p)
+        except SimulatedCrash:
+            if rollback:
+                snap.rollback_epoch(epoch)
+            snap.close_epoch(epoch)
+            return base, meta, pts[:i]
+        snap.close_epoch(epoch)
+    raise AssertionError(f"crash point {site} was never reached")
+
+
+def _remount_is_sound(store, meta, live):
+    """Attach from ``meta`` over ``store``; True iff the invariants hold
+    and 3-sided queries match the oracle over ``live``."""
+    try:
+        pst = ExternalPrioritySearchTree.attach(store, meta)
+        pst.check_invariants()
+    except (AssertionError, StorageError):
+        return False
+    rng = random.Random(1)
+    for _ in range(20):
+        a, b = sorted((rng.uniform(0, 5000), rng.uniform(0, 5000)))
+        c = rng.uniform(0, 5000)
+        want = sorted(p for p in live if a <= p[0] <= b and p[1] >= c)
+        if sorted(pst.query(a, b, c)) != want:
+            return False
+    return True
+
+
+class TestEpochVersusJournal:
+    """A snapshot epoch is an in-process undo log; only the journal is a
+    durable redo log.  Both are needed."""
+
+    def test_epoch_undo_does_not_survive_process_loss(self):
+        pts = workload(n=300)
+        counting = FaultSchedule(0)
+        pst = ExternalPrioritySearchTree(
+            FaultyStore(BlockStore(8), counting), allow_spill=True
+        )
+        for p in pts:
+            pst.insert(*p)
+        sites = range(0, counting.points_seen, 203)
+        assert len(sites) >= 10
+        for site in sites:
+            # process loss: the epoch's pre-images die with the process,
+            # so the pre-op meta is remounted over a half-applied disk
+            assert not _remount_is_sound(*_crash_inside_epoch(pts, site))
+        # in-process abort: rolling the epoch back restores the pre-op disk
+        assert _remount_is_sound(
+            *_crash_inside_epoch(pts, sites[1], rollback=True)
+        )
+        # the journal recovers the same structure at the same block size
+        report = verify_recovery(pts, block_size=8, seed=11, n_crashes=12)
+        assert report.crashes >= 10
+        assert report.recoveries == report.crashes - report.recovery_retries
+        assert report.checks == report.recoveries + 1
 
 
 class TestSpillMode:

@@ -32,8 +32,6 @@ class TestPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(0)
-        with pytest.raises(ValueError):
-            RetryPolicy(mode="explode")
 
     def test_backoff_sequence_capped_exponential(self):
         p = RetryPolicy(5, base_delay=0.01, max_delay=0.05, multiplier=2.0)
@@ -58,22 +56,6 @@ class TestPolicy:
         with pytest.raises(PermanentIOError):
             p.call(flaky(99, PermanentIOError))
         assert p.attempts == 1  # no retries on permanent errors
-
-    def test_degrade_returns_fallback_on_permanent(self):
-        p = RetryPolicy(5, mode="degrade")
-        assert p.call(flaky(99, PermanentIOError), fallback=[]) == []
-        assert p.attempts == 1
-
-    def test_degrade_returns_fallback_on_exhaustion(self):
-        p = RetryPolicy(2, mode="degrade")
-        assert p.call(flaky(99), fallback="partial") == "partial"
-
-    def test_degrade_without_fallback_still_raises(self):
-        p = RetryPolicy(2, mode="degrade")
-        with pytest.raises(RetryExhaustedError):
-            p.call(flaky(99))
-        with pytest.raises(PermanentIOError):
-            p.call(flaky(99, PermanentIOError))
 
     def test_custom_sleep_called(self):
         slept = []
@@ -117,7 +99,7 @@ class TestRetryingStore:
         schedule = FaultSchedule(
             0, read_error_rate=1.0, transient_fraction=0.0, max_faults=1
         )
-        policy = RetryPolicy(3, mode="degrade")  # even in degrade mode
+        policy = RetryPolicy(3)
         store = RetryingStore(FaultyStore(raw, schedule), policy)
         b = store.alloc()
         raw.write(b, [1])

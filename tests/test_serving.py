@@ -19,8 +19,10 @@ from repro.io.blockstore import BlockStore, StorageError
 from repro.resilience import RetryPolicy
 from repro.serve import (
     AdmissionController,
+    Deadline,
     EngineOverloaded,
     ReadWriteLock,
+    ReplicaSpec,
     ServingEngine,
     Shard,
     SlabRouter,
@@ -181,7 +183,7 @@ class TestSlabRouter:
 class TestShard:
     def test_spanned_query4_matches_boundary_path(self, rng):
         pts = make_points(rng, 150)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), ReplicaSpec(16),
                    backend="log", points=pts)
         for _ in range(25):
             a, b = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
@@ -194,14 +196,14 @@ class TestShard:
 
     def test_spanned_query4_costs_no_io(self, rng):
         pts = make_points(rng, 200)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), ReplicaSpec(16),
                    backend="log", points=pts)
         before = sh.primary.base_store.stats.copy()
         sh.query4(0, 1000, 100, 900, spanned=True)
         assert (sh.primary.base_store.stats - before).ios == 0
 
     def test_duplicate_insert_refused(self):
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), ReplicaSpec(16),
                    backend="log", points=[(1.0, 2.0)])
         assert not sh.insert((1.0, 2.0))
         assert sh.count == 1
@@ -210,7 +212,7 @@ class TestShard:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            Shard(0, 0.0, 1.0, backend="btree")
+            Shard(0, 0.0, 1.0, ReplicaSpec(16), backend="btree")
 
 
 # ----------------------------------------------------------------------
@@ -230,10 +232,19 @@ class TestBatchExecutor:
 
     def test_batch_equals_serial_executor(self, rng):
         pts = make_points(rng, 400)
+        # an empty x-range (a > b) routes to no shard and answers []
+        empty = [("q3", (600.0, 400.0, 0.0)),
+                 ("q4", (600.0, 400.0, 0.0, 1000.0))]
         trace = generate_trace(300, seed=22, q4_weight=0.15, initial=pts)
+        trace += empty
         e1 = ServingEngine(pts, n_shards=4, block_size=16, backend="log")
         e2 = ServingEngine(pts, n_shards=4, block_size=16, backend="log")
-        assert e1.execute(trace).results == e2.execute_serial(trace).results
+        got = e1.execute(trace).results
+        assert got == e2.execute_serial(trace).results
+        assert got[-2:] == [[], []]
+        timed = e1.execute(empty, deadline=Deadline.after(60.0))
+        assert timed.complete and timed.results == [[], []]
+        assert e1.query3(600.0, 400.0, 0.0) == []
         e1.close()
         e2.close()
 
@@ -316,7 +327,7 @@ class TestSnapshots:
 
     def test_snapshot_readers_are_immutable(self, rng):
         pts = make_points(rng, 60)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), ReplicaSpec(16),
                    backend="log", points=pts)
         snap = sh.snapshot()
         reader = snap._reader
@@ -330,7 +341,7 @@ class TestSnapshots:
 
     def test_closed_epoch_rejects_reads(self, rng):
         pts = make_points(rng, 60)
-        sh = Shard(0, float("-inf"), float("inf"), block_size=16,
+        sh = Shard(0, float("-inf"), float("inf"), ReplicaSpec(16),
                    backend="log", points=pts)
         snap = sh.snapshot()
         snap.close()

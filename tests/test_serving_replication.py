@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from tests.conftest import brute_4sided, make_points
+from tests.conftest import brute_3sided, brute_4sided, make_points
 from repro.io import BlockStore, ChecksummedStore, CorruptBlockError
 from repro.io.checksum import record_crc
 from repro.resilience import FaultSchedule
@@ -23,6 +23,7 @@ from repro.serve import (
     PartialResult,
     ReadWriteLock,
     ReplicaSetExhausted,
+    ReplicaSpec,
     Scrubber,
     ServingEngine,
     Shard,
@@ -36,7 +37,7 @@ CHAOS_RATES = {
 }
 
 
-def make_shard(pts, factor=2, seed=None, rates=None, **kw):
+def make_shard(pts, factor=2, seed=None, rates=None):
     schedules = None
     if seed is not None:
         schedules = [
@@ -44,9 +45,8 @@ def make_shard(pts, factor=2, seed=None, rates=None, **kw):
             for j in range(factor)
         ]
     return Shard(
-        0, float("-inf"), float("inf"), block_size=16, backend="log",
+        0, float("-inf"), float("inf"), ReplicaSpec(16), backend="log",
         points=pts, replication_factor=factor, fault_schedules=schedules,
-        **kw,
     )
 
 
@@ -243,7 +243,7 @@ class TestScrubber:
             assert r0.checksummed.verify(bid)
 
     def test_scrub_rebuilds_dead_replicas(self, rng):
-        sh = make_shard(make_points(rng, 100), factor=2, auto_rebuild=False)
+        sh = make_shard(make_points(rng, 100), factor=2)
         sh.replica_set.kill(1, "chaos")
         assert len(sh.replica_set.live) == 1
         Scrubber([sh]).scrub_once()
@@ -421,6 +421,60 @@ class TestEngineChaos:
         a1 = self._trace_run(2, 3, kill=True)
         a2 = self._trace_run(2, 3, kill=True)
         assert a1[0] == a2[0] and a1[1] == a2[1]
+
+    def test_pooled_rebuild_keeps_the_replica_chain(self, rng):
+        """A replica rebuilt behind a pool gets the same chain as its
+        peer -- pool capacity, policy and readahead, the shared retry
+        policy -- and keeps the dead copy's own fault stream."""
+        pts = make_points(rng, 400)
+        eng = ServingEngine(
+            pts, n_shards=2, block_size=16, backend="pst",
+            replication_factor=2, pool_capacity=24, pool_policy="2q",
+            readahead_window=2, fault_seed=9,
+            fault_rates={"read_error_rate": 0.01, "transient_fraction": 1.0},
+        )
+        live = set(pts)
+        for _ in range(60):
+            p = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            eng.insert(*p)
+            live.add(p)
+        rs = eng.router.shards[1].replica_set
+        dead = rs.replicas[0]
+        eng.kill_replica(1, 0)
+        assert eng.heal() == 1
+        fresh, peer = rs.replicas
+        assert fresh is not dead and fresh.alive and rs.primary is fresh
+
+        def chain(r):
+            layers, store = [], r.store
+            while store is not None:
+                layers.append(type(store).__name__)
+                store = getattr(store, "_store", None)
+            return layers
+
+        def pool(r):
+            snap = r.pool.snapshot()
+            return snap["capacity"], snap["policy"], snap["readahead_window"]
+
+        assert chain(fresh) == chain(peer) == [
+            "BufferPool", "RetryingStore", "FaultyStore", "SnapshotStore",
+            "ChecksummedStore", "BlockStore",
+        ]
+        assert pool(fresh) == pool(peer) == (24, "2q", 2)
+        assert fresh.pool._store.policy is peer.pool._store.policy
+        assert fresh.faulty.schedule is dead.schedule
+        assert fresh.schedule.seed == peer.schedule.seed
+        assert (fresh.schedule.stream, peer.schedule.stream) == (0, 1)
+        # the rebuilt replica serves first: its answers match brute force
+        for _ in range(30):
+            a, b = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            c, d = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            assert eng.query3(a, b, c) == brute_3sided(live, a, b, c)
+            assert eng.execute([("q4", (a, b, c, d))]).results == [
+                brute_4sided(live, a, b, c, d)
+            ]
+        assert eng.all_points() == sorted(live)
+        eng.close()
 
     def test_replication_factor_one_matches_plain_engine(self, rng):
         pts = make_points(rng, 150)
