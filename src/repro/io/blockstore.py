@@ -10,7 +10,7 @@ experiments measure I/O cost.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Iterable, Iterator, List
+from typing import Any, Callable, Iterable, Iterator, List, Tuple
 
 from repro.io.stats import IOStats
 
@@ -31,15 +31,14 @@ class BlockCapacityError(StorageError):
 class Block:
     """A snapshot of one disk block: its id and its records.
 
-    Blocks returned by :meth:`BlockStore.read` are copies; mutating the
-    returned list does not change the disk until written back.  This keeps
-    the I/O accounting honest: a structure cannot smuggle updates past the
-    counter by aliasing.
+    ``records`` is the immutable tuple the disk holds, handed out
+    without a copy.  This keeps the I/O accounting honest: a structure
+    cannot smuggle updates past the counter by aliasing.
     """
 
     __slots__ = ("bid", "records")
 
-    def __init__(self, bid: int, records: List[Any]):
+    def __init__(self, bid: int, records: Tuple[Any, ...]):
         self.bid = bid
         self.records = records
 
@@ -61,15 +60,15 @@ class BlockStore:
     block_size:
         The paper's ``B``: the number of records a block holds.
 
-    Reads and writes copy the record list, so the disk contents cannot
-    be mutated through aliases.
+    Payloads are stored as tuples and handed out as they are, so the
+    disk contents cannot be mutated through aliases.
     """
 
     def __init__(self, block_size: int):
         if block_size < 2:
             raise ValueError(f"block_size must be >= 2, got {block_size}")
         self._block_size = int(block_size)
-        self._blocks: dict[int, List[Any]] = {}
+        self._blocks: dict[int, Tuple[Any, ...]] = {}
         self._next_bid = 0
         self.stats = IOStats()
         self._observers: List[StoreObserver] = []
@@ -108,7 +107,7 @@ class BlockStore:
         """Allocate an empty block and return its id (no I/O charged)."""
         bid = self._next_bid
         self._next_bid += 1
-        self._blocks[bid] = []
+        self._blocks[bid] = ()
         self.stats.allocs += 1
         if self._observers:
             for cb in self._observers:
@@ -125,13 +124,13 @@ class BlockStore:
         if self._observers:
             for cb in self._observers:
                 cb("read", bid)
-        return Block(bid, list(records))
+        return Block(bid, records)
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Write one block to disk.  Costs one write I/O."""
         if bid not in self._blocks:
             raise StorageError(f"write to unallocated block {bid}")
-        data = list(records)
+        data = tuple(records)
         if len(data) > self._block_size:
             raise BlockCapacityError(
                 f"block {bid}: {len(data)} records > block size {self._block_size}"
@@ -167,14 +166,14 @@ class BlockStore:
         """Ids of all allocated blocks (introspection; no I/O charged)."""
         return list(self._blocks)
 
-    def peek(self, bid: int) -> List[Any]:
+    def peek(self, bid: int) -> Tuple[Any, ...]:
         """Inspect a block without charging an I/O.
 
         For tests and invariant checkers only; library code must use
         :meth:`read`.
         """
         try:
-            return list(self._blocks[bid])
+            return self._blocks[bid]
         except KeyError:
             raise StorageError(f"peek of unallocated block {bid}") from None
 
@@ -188,7 +187,7 @@ class BlockStore:
         """
         if bid not in self._blocks:
             raise StorageError(f"scribble on unallocated block {bid}")
-        self._blocks[bid] = list(records)
+        self._blocks[bid] = tuple(records)
 
     def place(self, bid: int, records: Iterable[Any]) -> None:
         """Install a block at a chosen id (charges one write I/O).
@@ -201,7 +200,7 @@ class BlockStore:
         """
         if bid in self._blocks:
             raise StorageError(f"place over allocated block {bid}")
-        data = list(records)
+        data = tuple(records)
         if len(data) > self._block_size:
             raise BlockCapacityError(
                 f"block {bid}: {len(data)} records > block size {self._block_size}"
@@ -280,11 +279,12 @@ class BlockStore:
 
     @classmethod
     def load(cls, path: str) -> "BlockStore":
-        """Reload a disk image written by :meth:`save`."""
+        """Reload a disk image written by :meth:`save` (the list payloads
+        of images saved before payloads were tuples become tuples)."""
         with open(path, "rb") as fh:
             image = pickle.load(fh)
         store = cls(image["block_size"])
-        store._blocks = image["blocks"]
+        store._blocks = {b: tuple(r) for b, r in image["blocks"].items()}
         store._next_bid = image["next_bid"]
         store.stats = IOStats(*image["stats"])
         return store

@@ -43,7 +43,7 @@ the gated experiment baselines depend on that):
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.io.blockstore import (
     Block,
@@ -79,8 +79,9 @@ class BufferPool(StoreLayer):
         Flush the whole dirty set, block-id-sorted, whenever an
         eviction or :meth:`flush` writes back.  Default off.
 
-    Every hit returns a private copy of the cached frame, so a caller
-    can never corrupt the pool through a returned block.
+    Frames hold the same immutable tuple payloads as the store below:
+    a hit hands out the frame's tuple without a copy, and a caller can
+    never corrupt the pool through a returned block.
     """
 
     def __init__(
@@ -103,9 +104,9 @@ class BufferPool(StoreLayer):
         self._coalesce = bool(coalesce_writes)
         # bid -> records for the unpinned resident frames; victim choice
         # is the policy's job, the table itself is unordered
-        self._frames: Dict[int, List[Any]] = {}
+        self._frames: Dict[int, Tuple[Any, ...]] = {}
         self._dirty: set[int] = set()
-        self._pinned: dict[int, List[Any]] = {}
+        self._pinned: dict[int, Tuple[Any, ...]] = {}
         self._pinned_dirty: set[int] = set()
         # readahead state: learned successor per hinted block, plus the
         # resident frames that were prefetched and not yet touched
@@ -180,7 +181,7 @@ class BufferPool(StoreLayer):
                 self.hits += 1
                 if self._observers:
                     self._emit("hit", bid)
-                return Block(bid, list(self._pinned[bid]))
+                return Block(bid, self._pinned[bid])
             if bid in self._frames:
                 self.hits += 1
                 self._policy.record_hit(bid)
@@ -191,14 +192,14 @@ class BufferPool(StoreLayer):
                         self._m_phits.inc()
                 if self._observers:
                     self._emit("hit", bid)
-                return Block(bid, list(self._frames[bid]))
+                return Block(bid, self._frames[bid])
             self.misses += 1
             if self._observers:
                 self._emit("miss", bid)
             block = self._store.read(bid)
             if self._capacity > 0:
                 self._evict_to_fit()
-                self._frames[bid] = list(block.records)
+                self._frames[bid] = block.records
                 self._policy.record_insert(bid)
                 if self._window > 0:
                     self._readahead(bid)
@@ -211,7 +212,7 @@ class BufferPool(StoreLayer):
         up front, before any frame-table mutation or physical traffic:
         the block is invalid no matter where it would eventually land.
         """
-        data = list(records)
+        data = tuple(records)
         if len(data) > self.block_size:
             raise BlockCapacityError(
                 f"block {bid}: {len(data)} records > block size "
@@ -343,7 +344,7 @@ class BufferPool(StoreLayer):
             except StorageError:
                 break
             self._evict_to_fit()
-            self._frames[nxt] = list(block.records)
+            self._frames[nxt] = block.records
             self._policy.record_insert(nxt)
             self._prefetched.add(nxt)
             self.prefetch_issued += 1
@@ -378,7 +379,7 @@ class BufferPool(StoreLayer):
                 self._dirty.discard(bid)
                 self._pinned_dirty.add(bid)
         else:
-            records = list(self._store.read(bid).records)
+            records = self._store.read(bid).records
         self._pinned[bid] = records
 
     def unpin(self, bid: int) -> None:
@@ -445,7 +446,7 @@ class BufferPool(StoreLayer):
             for bid in list(self._pinned):
                 self.unpin(bid)
 
-    def peek(self, bid: int) -> List[Any]:
+    def peek(self, bid: int) -> Tuple[Any, ...]:
         """Inspect a block without charging an I/O (dirty frames included).
 
         Invariant checkers peek through the pool so they see write-back
@@ -453,9 +454,9 @@ class BufferPool(StoreLayer):
         """
         with self._lock:
             if bid in self._pinned:
-                return list(self._pinned[bid])
+                return self._pinned[bid]
             if bid in self._frames:
-                return list(self._frames[bid])
+                return self._frames[bid]
             return self._store.peek(bid)
 
     @property

@@ -20,8 +20,10 @@ Semantics worth knowing:
   was created over an already-populated disk, e.g. after a crash
   re-attachment) is adopted as-is on its first read.  Detection starts
   from the first write/read the wrapper itself witnesses.
-- :meth:`ChecksummedStore.verify` checks a block *without charging
-  I/O or raising* -- the background scrubber's primitive.
+- :meth:`ChecksummedStore.verified_payload` returns a block's payload
+  iff it hashes to a given CRC, *without charging I/O* -- the one
+  verified-copy primitive of every repair path; ``verify`` is its
+  never-raising boolean form.
 - :meth:`ChecksummedStore.place` is the replica-rebuild channel: it
   installs a block at a chosen id (see :meth:`repro.io.blockstore.
   BlockStore.place`) and records its CRC, so a rebuilt mirror starts
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import pickle
 import zlib
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.io.blockstore import Block, StorageError
 from repro.io.layer import StoreLayer
@@ -51,10 +53,10 @@ class CorruptBlockError(StorageError):
     healthy copy.
     """
 
-    def __init__(self, bid: int, expected: int, actual: int):
+    def __init__(self, bid: int, expected: int, actual: Optional[int] = None):
+        got = "" if actual is None else f", got {actual:#010x}"
         super().__init__(
-            f"block {bid}: checksum mismatch "
-            f"(expected {expected:#010x}, got {actual:#010x})"
+            f"block {bid}: checksum mismatch (expected {expected:#010x}{got})"
         )
         self.bid = bid
         self.expected = expected
@@ -62,13 +64,13 @@ class CorruptBlockError(StorageError):
 
 
 def record_crc(records: Iterable[Any]) -> int:
-    """CRC32 over a canonical serialization of a record list.
+    """CRC32 over a canonical serialization of a block payload.
 
     Pickle of the tuples/floats/strings the structures store is
     deterministic within a process, which is all the simulated disk
     needs; a real implementation would hash the block's bytes.
     """
-    return zlib.crc32(pickle.dumps(list(records), protocol=4))
+    return zlib.crc32(pickle.dumps(tuple(records), protocol=4))
 
 
 class ChecksummedStore(StoreLayer):
@@ -119,7 +121,7 @@ class ChecksummedStore(StoreLayer):
         with whatever prefix actually landed) never leaves the table
         describing data that is not on the disk.
         """
-        data = list(records)
+        data = tuple(records)
         self._store.write(bid, data)
         self._crcs[bid] = record_crc(data)
 
@@ -136,13 +138,28 @@ class ChecksummedStore(StoreLayer):
         the donor's original CRC, so the rot stays detectable on the
         new replica instead of being laundered into "clean" data.
         """
-        data = list(records)
+        data = tuple(records)
         self._store.place(bid, data)
         self._crcs[bid] = record_crc(data) if crc is None else crc
 
     # ------------------------------------------------------------------
     # scrub support
     # ------------------------------------------------------------------
+    def verified_payload(
+        self, bid: int, crc: Optional[int] = None
+    ) -> Optional[Tuple[Any, ...]]:
+        """``bid``'s payload iff it hashes to ``crc``, else None (no I/O).
+
+        ``crc`` defaults to the recorded CRC; with none to compare
+        against nothing is verified.  Raises :class:`StorageError` for
+        an unallocated block.
+        """
+        expected = self._crcs.get(bid) if crc is None else crc
+        payload = self._store.peek(bid)
+        if expected is None or record_crc(payload) != expected:
+            return None
+        return payload
+
     def verify(self, bid: int) -> bool:
         """Check a block against its recorded CRC without charging I/O.
 
@@ -150,14 +167,12 @@ class ChecksummedStore(StoreLayer):
         compare) and for missing blocks (the allocator, not the
         scrubber, owns those).  Never raises.
         """
-        expected = self._crcs.get(bid)
-        if expected is None:
+        if bid not in self._crcs:
             return True
         try:
-            actual = record_crc(self._store.peek(bid))
+            return self.verified_payload(bid) is not None
         except StorageError:
             return True
-        return actual == expected
 
     def crc_of(self, bid: int) -> Optional[int]:
         """The recorded CRC for ``bid`` (None if never written here)."""

@@ -26,7 +26,7 @@ reach it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.io.blockstore import Block, StoreObserver
 
@@ -79,7 +79,7 @@ class StoreLayer:
         """Free one block on the wrapped store."""
         self._store.free(bid)
 
-    def peek(self, bid: int) -> List[Any]:
+    def peek(self, bid: int) -> Tuple[Any, ...]:
         """Inspect a block without charging I/O."""
         return self._store.peek(bid)
 

@@ -41,18 +41,15 @@ from repro.resilience.errors import (
 from repro.resilience.faults import FaultSchedule
 
 
-def _rotted(data, u: float):
-    """Deterministically rot a record list (pure function of data, u).
+def _rotted(data: tuple, u: float) -> tuple:
+    """Deterministically rot a payload (pure function of data, u).
 
     Non-empty blocks get one record replaced by a rot sentinel; empty
     blocks grow one, so the corruption is always detectable.
     """
     rot = ("__bitrot__", int(u * 1e6))
-    if not data:
-        return [rot]
-    out = list(data)
-    out[int(u * len(out))] = rot
-    return out
+    i = int(u * len(data))
+    return data[:i] + (rot,) + data[i + 1:]
 
 
 class FaultyStore(StoreLayer):
@@ -125,7 +122,7 @@ class FaultyStore(StoreLayer):
                 # process
                 raise SimulatedCrash(("torn-stale", index, "write", bid))
             if kind == F.TORN_TRUNCATED:
-                data = list(records)
+                data = tuple(records)
                 keep = int(decision[1] * len(data))
                 self._store.write(bid, data[:keep])
                 raise SimulatedCrash(("torn-truncated", index, "write", bid))
@@ -133,7 +130,7 @@ class FaultyStore(StoreLayer):
                 # the write lands, then the medium silently rots the
                 # block *beneath* every wrapper (including a checksum
                 # layer, which will notice on the next verified read)
-                data = list(records)
+                data = tuple(records)
                 self._store.write(bid, data)
                 self.physical_store.scribble(bid, _rotted(data, decision[1]))
                 return

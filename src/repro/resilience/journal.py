@@ -189,7 +189,7 @@ class JournaledStore(StoreLayer):
         records: List[Tuple] = []
         for bid in txn["order"]:
             if bid in txn["writes"]:
-                records.append(("W", tid, bid, list(txn["writes"][bid])))
+                records.append(("W", tid, bid, txn["writes"][bid]))
         for bid in txn["frees"]:
             records.append(("F", tid, bid))
         records.append(("W", tid, self._meta_bid, [("META", tid, meta)]))
@@ -270,12 +270,12 @@ class JournaledStore(StoreLayer):
         """Read through the transaction buffer (read-your-writes)."""
         buffered = self._buffered(bid, "read")
         if buffered is not None:
-            return Block(bid, list(buffered))
+            return Block(bid, buffered)
         return self._store.read(bid)
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Buffer a write under a transaction; write through otherwise."""
-        data = list(records)
+        data = tuple(records)
         if len(data) > self.block_size:
             raise BlockCapacityError(
                 f"block {bid}: {len(data)} records > block size "
@@ -309,7 +309,7 @@ class JournaledStore(StoreLayer):
         """Inspect through the transaction buffer (no I/O charged)."""
         buffered = self._buffered(bid, "peek")
         if buffered is not None:
-            return list(buffered)
+            return buffered
         return self._store.peek(bid)
 
     def _require_allocated(self, bid: int, txn) -> None:

@@ -115,7 +115,7 @@ class RetryingStore(StoreLayer):
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
         """Write with retries (records materialized once, then reused)."""
-        data = list(records)
+        data = tuple(records)
         self.policy.call(self._store.write, bid, data)
 
     def free(self, bid: int) -> None:

@@ -48,7 +48,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.io.blockstore import BlockStore, StorageError
 from repro.io.bufferpool import BufferPool
-from repro.io.checksum import ChecksummedStore, CorruptBlockError, record_crc
+from repro.io.checksum import ChecksummedStore, CorruptBlockError
 from repro.obs.metrics import counter, gauge
 from repro.resilience.errors import FaultInjectionError
 from repro.resilience.faulty_store import FaultyStore
@@ -242,6 +242,19 @@ class Replica:
         if self.pool is not None:
             self.pool.flush()
 
+    def rewrite(self, bid: int, payload: tuple) -> None:
+        """The repair write: rewrite ``bid`` from verified bytes.
+
+        One honest write through the snapshot layer (below fault
+        injection: no schedule draw; open epochs keep pre-images), then
+        the block's latch is cleared and any pool frame dropped.
+        """
+        self.snapstore.write(bid, payload)
+        if self.faulty is not None:
+            self.faulty.heal(bid)
+        if self.pool is not None:
+            self.pool.invalidate(bid)
+
     def write_mark(self) -> int:
         """Monotone count of logical writes into this chain.
 
@@ -416,14 +429,9 @@ class ReplicaSet:
         the op is acknowledged.
         """
         for bid in r.snapstore.epoch_writes(epoch):
-            if r.checksummed.verify(bid):
-                continue
-            expected = r.checksummed.crc_of(bid) or 0
-            try:
-                actual = record_crc(r.checksummed.peek(bid))
-            except StorageError:
-                continue  # freed during the epoch: nothing to serve rot
-            raise CorruptBlockError(bid, expected, actual)
+            # a block freed during the epoch verifies (nothing to serve)
+            if not r.checksummed.verify(bid):
+                raise CorruptBlockError(bid, r.checksummed.crc_of(bid))
 
     def heal_latched(self, r: Replica) -> bool:
         """Re-arm a replica's latched broken sectors after a rollback.
@@ -431,28 +439,23 @@ class ReplicaSet:
         A permanent fault latches a block broken until it is rewritten
         from a verified copy.  Post-rollback the block's own payload
         *is* verified (the undo log restored the pre-op bytes), so the
-        block is rewritten with itself through the snapshot layer --
-        honest write I/O, the simulated remap -- and the latch cleared.
+        block is rewritten with itself (:meth:`Replica.rewrite`).
         Blocks that do not verify fall back to a peer copy.  Returns
         False when a broken block could not be re-armed (no verified
         source anywhere).
         """
         if r.faulty is None:
             return True
-        for bid in list(r.faulty.broken_blocks):
-            if not r.checksummed.verify(bid):
-                if not self.repair_block(r, bid):
-                    return False
-                continue
+        for bid in r.faulty.broken_blocks:
             try:
-                payload = r.checksummed.peek(bid)
+                payload = r.checksummed.verified_payload(bid)
             except StorageError:
                 r.faulty.heal(bid)  # block freed meanwhile: just unlatch
                 continue
-            r.faulty.heal(bid)
-            r.snapstore.write(bid, payload)
-            if r.pool is not None:
-                r.pool.invalidate(bid)
+            if payload is not None:
+                r.rewrite(bid, payload)
+            elif not self.repair_block(r, bid):
+                return False
         return True
 
     def _abort(self, r: Replica, epoch: int, meta: Any) -> None:
@@ -480,46 +483,34 @@ class ReplicaSet:
     def repair_block(self, replica: Replica, bid: int) -> bool:
         """Overwrite one rotten block with a verified peer copy.
 
-        The repair write goes through the replica's snapshot layer
-        (below fault injection: no schedule draw, COW pre-images kept),
-        heals any latched fault state for the block and invalidates a
-        stale pool frame.  Returns False when no live peer holds a
-        verified copy.
+        The copy lands through :meth:`Replica.rewrite`.  Returns False
+        when no live peer holds a verified copy.
 
         Because replicas are block-for-block mirrors, the *requester's*
         recorded CRC is ground truth for every copy of ``bid`` -- so a
         donor that has never read the block (checksums are learned on
         first read) is still acceptable when its payload hashes to the
-        requester's expectation.
+        requester's expectation.  A requester with no recorded CRC
+        accepts only a donor copy that matches the donor's own.
         """
         expected = replica.checksummed.crc_of(bid)
-        donor_records = None
         for d in self.replicas:
             if d is replica or not d.alive:
                 continue
             try:
-                payload = d.checksummed.peek(bid)
+                payload = d.checksummed.verified_payload(bid, expected)
             except StorageError:
                 continue
-            if expected is not None:
-                if record_crc(payload) != expected:
-                    continue
-            elif d.checksummed.crc_of(bid) is None or not d.checksummed.verify(bid):
-                continue
-            donor_records = payload
-            break
-        if donor_records is None:
+            if payload is not None:
+                break
+        else:
             return False
         try:
-            replica.snapstore.write(bid, donor_records)
+            replica.rewrite(bid, payload)
         except StorageError:
             # the bid is not live on this replica (freed here): the
             # mirror diverged at this block, nothing to repair in place
             return False
-        if replica.faulty is not None:
-            replica.faulty.heal(bid)
-        if replica.pool is not None:
-            replica.pool.invalidate(bid)
         counter("block_repairs", layer="serve").inc()
         return True
 
@@ -677,43 +668,25 @@ class ReplicaSet:
             )
             for bid in sorted(source.base_store.block_ids()):
                 try:
-                    fresh.checksummed.place(bid, reader.read(bid).records)
+                    payload, crc = reader.read(bid).records, None
                 except CorruptBlockError:
                     # read I/O already charged; salvage or inherit the rot
-                    expected = source.checksummed.crc_of(bid)
-                    salvaged = self._salvage_from_dead(dead, bid, expected)
-                    if salvaged is not None:
-                        fresh.checksummed.place(bid, salvaged)
-                        source.snapstore.write(bid, salvaged)
-                        if source.faulty is not None:
-                            source.faulty.heal(bid)
-                        if source.pool is not None:
-                            source.pool.invalidate(bid)
-                        counter("block_repairs", layer="serve").inc()
+                    crc = source.checksummed.crc_of(bid)
+                    try:
+                        payload = dead.checksummed.verified_payload(bid, crc)
+                    except StorageError:
+                        payload = None
+                    if payload is None:
+                        payload = source.checksummed.peek(bid)
                     else:
-                        fresh.checksummed.place(
-                            bid, source.checksummed.peek(bid), crc=expected
-                        )
+                        source.rewrite(bid, payload)
+                        counter("block_repairs", layer="serve").inc()
+                fresh.checksummed.place(bid, payload, crc=crc)
             fresh.base_store.reserve_ids(source.base_store.next_bid)
             fresh.structure = self._attach(fresh.store, meta)
         finally:
             source.snapstore.close_epoch(epoch)
         return fresh
-
-    @staticmethod
-    def _salvage_from_dead(dead: Replica, bid: int, expected) -> Optional[list]:
-        """Fetch ``bid`` from a retired replica's disk iff it hashes to
-        ``expected`` -- a CRC match makes the payload self-certifying
-        no matter how the replica died."""
-        if expected is None:
-            return None
-        try:
-            payload = dead.checksummed.peek(bid)
-        except StorageError:
-            return None
-        if record_crc(payload) != expected:
-            return None
-        return payload
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

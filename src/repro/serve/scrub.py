@@ -4,12 +4,11 @@ A :class:`Scrubber` periodically walks every replica of every shard,
 re-computes each block's CRC against the checksum layer's side table
 (:meth:`~repro.io.checksum.ChecksummedStore.verify` -- no I/O charged,
 never raises) and repairs any rotten block from a peer replica whose
-copy still verifies.  Repairs are honest I/O: the fresh payload is
-written through the replica's :class:`~repro.serve.snapshots.
-SnapshotStore` (so copy-on-write pre-images are preserved and the
-write lands *below* the fault-injection layer -- a repair never draws
-from the fault schedule), latched fault state for the block is healed,
-and any stale buffer-pool frame is invalidated.
+copy still verifies.  Repairs are honest I/O through the one repair
+write, :meth:`~repro.serve.replication.Replica.rewrite`: below the
+fault-injection layer (a repair never draws from the fault schedule),
+copy-on-write pre-images preserved, the block's latched fault state
+healed and any stale buffer-pool frame invalidated.
 
 Scrubbing a shard takes its writer lock (with a bounded wait, so a
 busy shard is skipped rather than stalled) and flushes buffer pools

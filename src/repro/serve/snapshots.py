@@ -32,7 +32,7 @@ splits reader traffic by where it was served.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Set
+from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.io.blockstore import Block, StorageError
 from repro.io.layer import StoreLayer
@@ -46,9 +46,9 @@ class _Epoch:
 
     def __init__(self, epoch_id: int, next_bid: int = 0):
         self.epoch_id = epoch_id
-        self.undo: Dict[int, List[Any]] = {}   # bid -> pre-image records
-        self.new: Set[int] = set()             # bids born after the epoch
-        self.next_bid = next_bid               # allocator watermark at open
+        self.undo: Dict[int, Tuple[Any, ...]] = {}  # bid -> pre-image
+        self.new: Set[int] = set()                  # bids born after the epoch
+        self.next_bid = next_bid                    # allocator watermark at open
 
 
 class SnapshotStore(StoreLayer):
@@ -92,7 +92,7 @@ class SnapshotStore(StoreLayer):
         with self._lock:
             for ep in needy:
                 if bid not in ep.undo and bid not in ep.new:
-                    ep.undo[bid] = list(records)
+                    ep.undo[bid] = records
 
     def alloc(self) -> int:
         """Allocate; blocks born after an epoch are invisible to it."""
@@ -239,7 +239,7 @@ class SnapshotReader(StoreLayer):
             return pre
 
     def _frozen(self, bid: int, live: Callable[[int], Any]):
-        """``live(bid)``, or ``bid``'s pre-image as a fresh list.
+        """``live(bid)``, or ``bid``'s pre-image payload.
 
         A writer preserves a block's pre-image *before* it overwrites or
         frees the block, so the undo map is checked again after the
@@ -261,7 +261,7 @@ class SnapshotReader(StoreLayer):
                 pre = self._pre_image(bid)
                 if pre is None:
                     return out
-        return list(pre)
+        return pre
 
     def read(self, bid: int) -> Block:
         """Read the block as it was when the epoch opened."""

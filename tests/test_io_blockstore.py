@@ -45,7 +45,7 @@ class TestReadWrite:
         store = BlockStore(4)
         bid = store.alloc()
         store.write(bid, [(1, 2), (3, 4)])
-        assert store.read(bid).records == [(1, 2), (3, 4)]
+        assert store.read(bid).records == ((1, 2), (3, 4))
 
     def test_each_read_and_write_costs_one_io(self):
         store = BlockStore(4)
@@ -79,28 +79,20 @@ class TestReadWrite:
         with pytest.raises(StorageError):
             store.write(99, [1])
 
-    def test_copy_on_io_isolates_mutation(self):
-        store = BlockStore(4)
-        bid = store.alloc()
-        store.write(bid, [1, 2])
-        block = store.read(bid)
-        block.records.append(3)
-        assert store.read(bid).records == [1, 2]
-
     def test_write_source_mutation_harmless(self):
         store = BlockStore(4)
         bid = store.alloc()
         data = [1, 2]
         store.write(bid, data)
         data.append(3)
-        assert store.read(bid).records == [1, 2]
+        assert store.read(bid).records == (1, 2)
 
     def test_peek_costs_nothing(self):
         store = BlockStore(4)
         bid = store.alloc()
         store.write(bid, [7])
         before = store.stats.copy()
-        assert store.peek(bid) == [7]
+        assert store.peek(bid) == (7,)
         assert store.stats.ios == before.ios
 
 

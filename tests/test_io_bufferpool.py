@@ -46,7 +46,7 @@ class TestCaching:
         assert store.stats.writes == base_writes
         pool.read(b)                      # evicts a -> physical write
         assert store.stats.writes == base_writes + 1
-        assert store.peek(a) == [42]
+        assert store.peek(a) == (42,)
 
     def test_flush_writes_dirty_frames(self):
         store, pool = _mk()
@@ -54,25 +54,17 @@ class TestCaching:
         store.write(bid, [0])
         pool.write(bid, [7])
         pool.flush()
-        assert store.peek(bid) == [7]
+        assert store.peek(bid) == (7,)
 
     def test_capacity_zero_is_write_through(self):
         store, pool = _mk(capacity=0)
         bid = store.alloc()
         pool.write(bid, [5])
-        assert store.peek(bid) == [5]
+        assert store.peek(bid) == (5,)
         base = store.stats.reads
         pool.read(bid)
         pool.read(bid)
         assert store.stats.reads == base + 2  # nothing cached
-
-    def test_read_returns_fresh_copy(self):
-        store, pool = _mk()
-        bid = store.alloc()
-        store.write(bid, [1])
-        blk = pool.read(bid)
-        blk.records.append(2)
-        assert pool.read(bid).records == [1]
 
 
 class TestPinning:
@@ -106,7 +98,7 @@ class TestPinning:
         pool.pin(bid)
         pool.write(bid, [9])
         pool.unpin(bid)
-        assert store.peek(bid) == [9]
+        assert store.peek(bid) == (9,)
 
     def test_cannot_free_pinned(self):
         store, pool = _mk()
@@ -124,7 +116,7 @@ class TestPinning:
         pool.write(bid, [3])
         pool.close()
         assert pool.pinned_blocks == []
-        assert store.peek(bid) == [3]
+        assert store.peek(bid) == (3,)
 
 
 class TestProtocolParity:
@@ -133,7 +125,7 @@ class TestProtocolParity:
         bid = pool.alloc()
         assert store.blocks_in_use == 1
         pool.write(bid, [1])
-        assert pool.read(bid).records == [1]
+        assert pool.read(bid).records == (1,)
 
     def test_free_drops_cached_frame(self):
         store, pool = _mk()
@@ -181,14 +173,14 @@ class TestWriteFailureSemantics:
         schedule.write_error_rate = 1.0
         with pytest.raises(TransientIOError):
             pool.read(b)                # eviction flush of a fails
-        assert raw.peek(a) == ["old"]   # disk untouched
+        assert raw.peek(a) == ("old",)   # disk untouched
         # the frame survived: a cache read still serves the new data
         base = raw.stats.reads
-        assert pool.read(a).records == ["new"]
+        assert pool.read(a).records == ("new",)
         assert raw.stats.reads == base
         schedule.write_error_rate = 0.0
         pool.flush()                    # still marked dirty => flushed
-        assert raw.peek(a) == ["new"]
+        assert raw.peek(a) == ("new",)
 
     def test_flush_failure_keeps_exactly_unflushed_frames_dirty(self):
         from repro.resilience import TransientIOError
@@ -205,7 +197,7 @@ class TestWriteFailureSemantics:
         schedule.write_error_rate = 0.0
         pool.flush()                     # the rest are still dirty
         for bid in bids:
-            assert raw.peek(bid) == ["new"]
+            assert raw.peek(bid) == ("new",)
 
     def test_unpin_failure_keeps_block_pinned_dirty(self):
         from repro.resilience import TransientIOError
@@ -219,10 +211,10 @@ class TestWriteFailureSemantics:
         with pytest.raises(TransientIOError):
             pool.unpin(bid)
         assert bid in pool.pinned_blocks   # still resident
-        assert raw.peek(bid) == ["old"]
+        assert raw.peek(bid) == ("old",)
         schedule.write_error_rate = 0.0
         pool.unpin(bid)
-        assert raw.peek(bid) == ["new"]
+        assert raw.peek(bid) == ("new",)
 
     def test_free_failure_keeps_cached_frame(self):
         from repro.resilience import SimulatedCrash
@@ -235,9 +227,9 @@ class TestWriteFailureSemantics:
         with pytest.raises(SimulatedCrash):
             pool.free(bid)
         # frame and dirty mark intact; the block is still allocated
-        assert pool.read(bid).records == ["new"]
+        assert pool.read(bid).records == ("new",)
         pool.flush()
-        assert raw.peek(bid) == ["new"]
+        assert raw.peek(bid) == ("new",)
         pool.free(bid)  # crash site consumed: succeeds
 
 
@@ -356,9 +348,9 @@ class TestEvictionGuard:
             pool.read(b)
         # the resident frame still serves hits; the store is untouched
         base = store.stats.reads
-        assert pool.read(a).records == [1]
+        assert pool.read(a).records == (1,)
         assert store.stats.reads == base
-        assert store.peek(b) == [2]
+        assert store.peek(b) == (2,)
 
     def test_pinning_never_consumes_frame_capacity(self):
         """Pinned blocks live outside the frame table, so heavy pinning
@@ -373,7 +365,7 @@ class TestEvictionGuard:
         extra = store.alloc()
         store.write(extra, [99])
         pool.read(extra)
-        assert pool.read(extra).records == [99]
+        assert pool.read(extra).records == (99,)
 
 
 class TestOverCapacityWrite:
@@ -397,7 +389,7 @@ class TestOverCapacityWrite:
         base = store.stats.writes
         pool.flush()
         assert store.stats.writes == base   # nothing was dirtied
-        assert pool.read(bid).records == [1]
+        assert pool.read(bid).records == (1,)
 
     def test_uncached_block_stays_uncached(self):
         store, pool = _mk(capacity=2, B=4)
@@ -406,7 +398,7 @@ class TestOverCapacityWrite:
         with pytest.raises(BlockCapacityError):
             pool.write(bid, list(range(9)))
         base = store.stats.reads
-        assert pool.read(bid).records == [7]
+        assert pool.read(bid).records == (7,)
         assert store.stats.reads == base + 1   # was never admitted
 
     def test_pinned_block_keeps_old_records(self):
@@ -416,9 +408,9 @@ class TestOverCapacityWrite:
         pool.pin(bid)
         with pytest.raises(BlockCapacityError):
             pool.write(bid, list(range(5)))
-        assert pool.read(bid).records == [1]
+        assert pool.read(bid).records == (1,)
         pool.unpin(bid)
-        assert store.peek(bid) == [1]       # never marked pinned-dirty
+        assert store.peek(bid) == (1,)       # never marked pinned-dirty
 
     def test_write_through_pool_never_touches_store(self):
         store, pool = _mk(capacity=0, B=4)
@@ -602,7 +594,7 @@ class TestReadahead:
         pool.read(bids[0])
         pool.write(bids[1], ["new"])    # clobbered before any read
         assert pool.prefetch_waste == 1
-        assert pool.read(bids[1]).records == ["new"]
+        assert pool.read(bids[1]).records == ("new",)
         assert pool.prefetch_hits == 0  # the data fetched was never used
 
     def test_broken_chain_stops_cleanly(self):
@@ -644,7 +636,7 @@ class TestCoalescing:
         assert store.stats.writes == base + 3
         assert pool.coalesced_writes == 2   # leader + two riders
         for bid in bids[:3]:
-            assert store.peek(bid) == [bid]
+            assert store.peek(bid) == (bid,)
 
     def test_batch_goes_out_in_block_id_order(self):
         store = BlockStore(4)
@@ -694,11 +686,11 @@ class TestCoalescing:
         with pytest.raises(TransientIOError):
             pool.flush()
         schedule.write_error_rate = 0.0
-        assert raw.peek(bids[0]) == ["new"]     # the leader landed
-        assert raw.peek(bids[1]) == ["old"]     # the rest stayed dirty
+        assert raw.peek(bids[0]) == ("new",)     # the leader landed
+        assert raw.peek(bids[1]) == ("old",)     # the rest stayed dirty
         pool.flush()
         for bid in bids:
-            assert raw.peek(bid) == ["new"]
+            assert raw.peek(bid) == ("new",)
 
     def test_off_by_default(self):
         store = BlockStore(4)
@@ -711,15 +703,3 @@ class TestCoalescing:
         assert store.stats.writes == base + 1
         assert pool.coalesced_writes == 0
 
-
-class TestHitCopies:
-    def test_hits_return_private_copies(self):
-        store = BlockStore(4)
-        pool = BufferPool(store, 2)
-        bid = store.alloc()
-        store.write(bid, [1])
-        pool.read(bid)
-        blk = pool.read(bid)
-        assert isinstance(blk.records, list)
-        blk.records.append(2)           # caller mutates their copy ...
-        assert pool.read(bid).records == [1]    # ... pool frame intact

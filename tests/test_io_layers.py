@@ -9,6 +9,8 @@ reader refuses mutations).  Named crash points must reach a
 :class:`FaultyStore` through any stack of layers.
 """
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.io import (
@@ -97,7 +99,7 @@ class TestConformance:
                     mutate()
                 assert _moved(base, before) == (0, 0, 0, 0)
             before = base.stats.copy()
-            assert layer.read(bid).records == [1, 2]
+            assert layer.read(bid).records == (1, 2)
             assert _moved(base, before) == (1, 0, 0, 0)
             assert events == [("read", bid)]
             return
@@ -106,7 +108,7 @@ class TestConformance:
         new = layer.alloc()
         assert _moved(base, before) == (0, 0, 1, 0)
         before = base.stats.copy()
-        assert layer.read(bid).records == [1, 2]
+        assert layer.read(bid).records == (1, 2)
         assert _moved(base, before) == (1, 0, 0, 0)
         before = base.stats.copy()
         layer.write(bid, [3])
@@ -118,7 +120,7 @@ class TestConformance:
         assert events == [
             ("alloc", new), ("read", bid), ("write", bid), ("free", new),
         ]
-        assert layer.peek(bid) == [3]
+        assert layer.peek(bid) == (3,)
         assert layer.blocks_in_use == base.blocks_in_use
         assert layer.block_ids() == base.block_ids()
 
@@ -135,6 +137,39 @@ class TestConformance:
             assert seen == ["miss"]
         else:
             assert seen == ["alloc", "write", "read"]
+
+    def test_payloads_are_immutable_tuples(self, cls):
+        # the layer hands out the tuple it was given (or the disk holds):
+        # no defensive copy, and nothing a caller holds can change a block
+        base, layer, _ = _build(cls)
+        bid = base.alloc()
+        data = [1, 2]
+        if cls is SnapshotReader:
+            base.write(bid, data)
+        else:
+            txn = layer.transaction() if cls is JournaledStore else nullcontext()
+            with txn:
+                layer.write(bid, data)
+                data.append(3)
+                _assert_payload(layer, bid, (1, 2))   # read-your-writes
+        data.append(4)
+        _assert_payload(layer, bid, (1, 2))
+        layer.flush()
+        assert base.peek(bid) == (1, 2)
+        if cls is SnapshotReader:
+            layer._snap.write(bid, [5])
+            _assert_payload(layer, bid, (1, 2))   # the undo pre-image
+        if cls is BufferPool:
+            layer.pin(bid)
+            _assert_payload(layer, bid, (1, 2))
+
+
+def _assert_payload(layer, bid, want):
+    # the second read is a hit on a pool
+    for records in (layer.read(bid).records, layer.read(bid).records,
+                    layer.peek(bid)):
+        assert type(records) is tuple
+        assert records == want
 
 
 def test_pool_hits_cost_no_transfer():

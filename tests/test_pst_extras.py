@@ -1,5 +1,7 @@
 """Tests for the PST convenience queries and bulk operations."""
 
+import pickle
+
 import pytest
 
 from repro.io import BlockStore
@@ -171,4 +173,20 @@ class TestStorePersistence:
         b = clone.alloc()
         assert b != a
         clone.write(b, [3])
-        assert clone.read(b).records == [3]
+        assert clone.read(b).records == (3,)
+
+    def test_loads_images_with_list_payloads(self, tmp_path):
+        # the image layout of stores saved while payloads were lists
+        path = str(tmp_path / "old.img")
+        with open(path, "wb") as fh:
+            pickle.dump({"block_size": 4, "blocks": {0: [1, 2], 2: []},
+                         "next_bid": 3, "stats": (5, 6, 3, 1)}, fh)
+        store = BlockStore.load(path)
+        block = store.read(0)
+        assert block.records == (1, 2)
+        with pytest.raises(TypeError):
+            block.records[0] = 9
+        assert store.read(0).records == (1, 2)
+        assert store.peek(2) == ()
+        assert (store.stats.reads, store.stats.writes) == (7, 6)
+        assert store.alloc() == 3

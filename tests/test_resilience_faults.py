@@ -141,7 +141,7 @@ class TestFaultKinds:
         # latched: fails forever, even though the fault budget is spent
         with pytest.raises(PermanentIOError):
             store.read(b)
-        assert store.peek(b) == [1]  # the data itself is intact
+        assert store.peek(b) == (1,)  # the data itself is intact
 
     def test_write_error_leaves_block_untouched(self):
         raw = BlockStore(8)
@@ -151,9 +151,9 @@ class TestFaultKinds:
         raw.write(b, [1])  # seed the block below the fault layer
         with pytest.raises(TransientIOError):
             store.write(b, [2])
-        assert store.peek(b) == [1]
+        assert store.peek(b) == (1,)
         store.write(b, [2])  # budget spent: goes through
-        assert store.peek(b) == [2]
+        assert store.peek(b) == (2,)
 
     def test_torn_stale_write(self):
         raw = BlockStore(8)
@@ -167,10 +167,10 @@ class TestFaultKinds:
         after = raw.peek(b)
         kind = s.events[-1].kind
         if kind == "torn-stale":
-            assert after == ["old"]
+            assert after == ("old",)
         else:
             assert kind == "torn-truncated"
-            assert after == ["new1", "new2", "new3", "new4"][: len(after)]
+            assert after == ("new1", "new2", "new3", "new4")[: len(after)]
             assert len(after) < 4
 
     def test_torn_truncated_prefix(self):
@@ -185,7 +185,7 @@ class TestFaultKinds:
                 store.write(b, ["a", "b", "c", "d", "e", "f"])
             if s.events[-1].kind == "torn-truncated":
                 after = store.peek(b)
-                assert after == ["a", "b", "c", "d", "e", "f"][: len(after)]
+                assert after == ("a", "b", "c", "d", "e", "f")[: len(after)]
                 return
         pytest.fail("no seed in range drew the truncated branch")
 
@@ -195,9 +195,9 @@ class TestFaultKinds:
         b = store.alloc()             # op 0
         with pytest.raises(SimulatedCrash):
             store.write(b, [1])       # op 1: dies before the write
-        assert store.peek(b) == []    # nothing reached the disk
+        assert store.peek(b) == ()    # nothing reached the disk
         store.write(b, [1])           # site consumed: succeeds
-        assert store.peek(b) == [1]
+        assert store.peek(b) == (1,)
 
     def test_crash_point_site_fires_once(self):
         s = FaultSchedule(0, crash_at_points=(1,))

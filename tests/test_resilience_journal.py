@@ -34,11 +34,11 @@ class TestTransactions:
         js.write(b, ["committed"])
         js.begin()
         js.write(b, ["pending"])
-        assert raw.peek(b) == ["committed"]        # disk unchanged
+        assert raw.peek(b) == ("committed",)        # disk unchanged
         assert list(js.read(b).records) == ["pending"]  # read-your-writes
-        assert js.peek(b) == ["pending"]
+        assert js.peek(b) == ("pending",)
         js.commit()
-        assert raw.peek(b) == ["pending"]
+        assert raw.peek(b) == ("pending",)
 
     def test_meta_travels_with_commit(self):
         _, _, faulty, js = make_stack()
@@ -56,7 +56,7 @@ class TestTransactions:
         js.write(b, [1])
         js.begin()
         js.free(b)
-        assert raw.peek(b) == [1]  # still on disk mid-transaction
+        assert raw.peek(b) == (1,)  # still on disk mid-transaction
         with pytest.raises(StorageError):
             js.read(b)
         with pytest.raises(StorageError):
@@ -75,7 +75,7 @@ class TestTransactions:
         extra = js.alloc()
         js.write(extra, ["discard too"])
         js.abort()
-        assert raw.peek(b) == ["keep"]
+        assert raw.peek(b) == ("keep",)
         assert raw.blocks_in_use == in_use  # extra reclaimed
 
     def test_no_nesting_and_no_blind_commit(self):
@@ -100,7 +100,7 @@ class TestTransactions:
         b = js.alloc()
         with js.transaction(meta=lambda: "after"):
             js.write(b, ["done"])
-        assert raw.peek(b) == ["done"]
+        assert raw.peek(b) == ("done",)
         js2 = JournaledStore.attach(faulty, js.anchor_bids)
         assert js2.recover() == "after"
         # a plain exception aborts
@@ -108,7 +108,7 @@ class TestTransactions:
             with js.transaction():
                 js.write(b, ["nope"])
                 raise ValueError("boom")
-        assert raw.peek(b) == ["done"]
+        assert raw.peek(b) == ("done",)
 
 
 class TestCrashRecovery:
@@ -129,7 +129,7 @@ class TestCrashRecovery:
         # the process dies here; the buffered write never hits the disk
         js2 = JournaledStore.attach(faulty, anchor)
         assert js2.recover() == {"b": b, "v": 1}
-        assert raw.peek(b) == ["v1"]
+        assert raw.peek(b) == ("v1",)
 
     def test_crash_before_commit_record_discards(self):
         raw, schedule, faulty, js, b = self._committed_setup()
@@ -143,7 +143,7 @@ class TestCrashRecovery:
             js.commit({"b": b, "v": 2})
         js2 = JournaledStore.attach(faulty, anchor)
         assert js2.recover() == {"b": b, "v": 1}  # v2 never committed
-        assert raw.peek(b) == ["v1"]
+        assert raw.peek(b) == ("v1",)
 
     def test_crash_after_commit_record_redoes(self):
         raw, schedule, faulty, js, b = self._committed_setup()
@@ -156,10 +156,10 @@ class TestCrashRecovery:
         schedule.crash_at_ops.add(schedule.ops_seen + 3)
         with pytest.raises(SimulatedCrash):
             js.commit({"b": b, "v": 2})
-        assert raw.peek(b) == ["v1"]  # apply never reached the block
+        assert raw.peek(b) == ("v1",)  # apply never reached the block
         js2 = JournaledStore.attach(faulty, anchor)
         assert js2.recover() == {"b": b, "v": 2}  # C durable => redo
-        assert raw.peek(b) == ["v2"]
+        assert raw.peek(b) == ("v2",)
 
     def test_crash_during_recovery_is_recoverable(self):
         raw, schedule, faulty, js, b = self._committed_setup()
@@ -175,7 +175,7 @@ class TestCrashRecovery:
             JournaledStore.attach(faulty, anchor).recover()
         js2 = JournaledStore.attach(faulty, anchor)
         assert js2.recover() == {"b": b, "v": 2}  # idempotent redo
-        assert raw.peek(b) == ["v2"]
+        assert raw.peek(b) == ("v2",)
 
     def test_torn_anchor_slot_survived_by_dual_slot(self):
         raw, schedule, faulty, js, b = self._committed_setup()

@@ -113,7 +113,7 @@ class TestRetryingStore:
         assert store.physical_store is raw
         b = store.alloc()
         store.write(b, ["x"])
-        assert store.peek(b) == ["x"]
+        assert store.peek(b) == ("x",)
         assert store.blocks_in_use == 1
         store.free(b)
         assert store.blocks_in_use == 0

@@ -360,7 +360,7 @@ class TestSnapshots:
         store.write(bid, [5, 6])        # second touch: already preserved
         delta = store.stats - before
         assert delta.reads == 1 and delta.writes == 2
-        assert store.reader(eid).read(bid).records == [1, 2]
+        assert store.reader(eid).read(bid).records == (1, 2)
         assert store.undo_blocks(eid) == 1
         store.close_epoch(eid)
 
@@ -431,9 +431,9 @@ class TestSnapshots:
         else:
             disk.before_access = lambda: snap.free(bid)
         if access == "read":
-            assert reader.read(bid).records == ["old"]
+            assert reader.read(bid).records == ("old",)
         else:
-            assert reader.peek(bid) == ["old"]
+            assert reader.peek(bid) == ("old",)
         assert disk.before_access is None   # the race really ran
 
 

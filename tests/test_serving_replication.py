@@ -37,7 +37,7 @@ CHAOS_RATES = {
 }
 
 
-def make_shard(pts, factor=2, seed=None, rates=None):
+def make_shard(pts, factor=2, seed=None, rates=None, pool=0):
     schedules = None
     if seed is not None:
         schedules = [
@@ -45,8 +45,9 @@ def make_shard(pts, factor=2, seed=None, rates=None):
             for j in range(factor)
         ]
     return Shard(
-        0, float("-inf"), float("inf"), ReplicaSpec(16), backend="log",
-        points=pts, replication_factor=factor, fault_schedules=schedules,
+        0, float("-inf"), float("inf"), ReplicaSpec(16, pool_capacity=pool),
+        backend="log", points=pts, replication_factor=factor,
+        fault_schedules=schedules,
     )
 
 
@@ -66,7 +67,7 @@ class TestChecksummedStore:
         cs = ChecksummedStore(base)
         bid = cs.alloc()
         cs.write(bid, [1, 2, 3])
-        assert cs.read(bid).records == [1, 2, 3]
+        assert cs.read(bid).records == (1, 2, 3)
         base.scribble(bid, [9, 9])
         with pytest.raises(CorruptBlockError) as exc:
             cs.read(bid)
@@ -271,6 +272,91 @@ class TestScrubber:
         scrubber.stop()
         assert not scrubber.running
         assert scrubber.cycles >= 1
+
+
+# ----------------------------------------------------------------------
+# rot paths behind a buffer pool: each must reach the verified-copy
+# primitive (ChecksummedStore.verified_payload) and the one repair write
+# (Replica.rewrite), which drops the repaired block's pool frame
+# ----------------------------------------------------------------------
+def disk_matches_crcs(r):
+    """Every block on ``r``'s disk hashes to its recorded CRC (checked
+    here, not through the store's own verification)."""
+    return all(
+        record_crc(r.base_store.peek(bid)) == r.checksummed.crc_of(bid)
+        for bid in r.base_store.block_ids()
+    )
+
+
+def read_is_a_miss(r, bid):
+    """Reading ``bid`` through ``r``'s pool goes to disk (no stale frame)."""
+    misses, reads = r.pool.misses, r.base_store.stats.reads
+    r.store.read(bid)
+    return r.pool.misses == misses + 1 and r.base_store.stats.reads == reads + 1
+
+
+class TestRotPaths:
+    def test_scrub_repairs_rot_at_rest(self, rng):
+        pts = make_points(rng, 150)
+        sh = make_shard(pts, pool=8)
+        r0, r1 = sh.replica_set.replicas
+        bid = sorted(r0.base_store.block_ids())[0]
+        good = r0.store.read(bid).records    # now a resident pool frame
+        r0.base_store.scribble(bid, ["rot"])
+        out = Scrubber([sh]).scrub_once()
+        assert (out["repairs"], out["unrepaired"]) == (1, 0)
+        assert r0.base_store.peek(bid) == good == r1.base_store.peek(bid)
+        assert disk_matches_crcs(r0)
+        assert read_is_a_miss(r0, bid)
+        assert sorted(sh.query4(0, 1000, 0, 1000)) == brute_4sided(
+            set(pts), 0, 1000, 0, 1000
+        )
+
+    def test_write_rot_is_swept_and_retried_before_ack(self, rng):
+        pts = make_points(rng, 80)
+        sh = make_shard(pts, seed=11, rates={"corrupt_rate": 0.2}, pool=8)
+        live = set(pts)
+        for _ in range(40):
+            p = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            sh.insert(p)
+            live.add(p)
+        rs = sh.replica_set
+        kinds = [e.kind for r in rs.replicas for e in r.schedule.events]
+        assert "corrupt-block" in kinds
+        assert len(rs.live) == 2
+        for r in rs.replicas:
+            r.flush()
+            assert disk_matches_crcs(r), r.replica_id
+        assert replica_image(rs.replicas[0]) == replica_image(rs.replicas[1])
+        assert sorted(sh.query4(0, 1000, 0, 1000)) == brute_4sided(
+            live, 0, 1000, 0, 1000
+        )
+
+    def test_rebuild_salvages_or_inherits_donor_rot(self, rng):
+        sh = make_shard(make_points(rng, 150), pool=8)
+        rs = sh.replica_set
+        r0, r1 = rs.replicas
+        salvaged, inherited = sorted(r1.base_store.block_ids())[:2]
+        good = r1.store.read(salvaged).records   # resident on the donor
+        want_crc = r1.checksummed.crc_of(inherited)
+        r1.base_store.scribble(salvaged, ["rot"])
+        for r in (r0, r1):    # both copies rotten: nothing to salvage
+            r.base_store.scribble(inherited, ["rot", r.replica_id])
+        rs.kill(0)
+        assert rs.rebuild_dead() == 1
+        fresh = rs.replicas[0]
+        assert fresh is not r0
+        # the dead copy was good: clone and donor both get it
+        assert fresh.base_store.peek(salvaged) == good
+        assert r1.base_store.peek(salvaged) == good
+        assert read_is_a_miss(r1, salvaged)
+        # no good copy anywhere: the clone keeps the donor's CRC, so the
+        # inherited rot stays detectable
+        assert fresh.base_store.peek(inherited) == ("rot", 1)
+        assert fresh.checksummed.crc_of(inherited) == want_crc
+        assert not fresh.checksummed.verify(inherited)
+        with pytest.raises(CorruptBlockError):
+            fresh.checksummed.read(inherited)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ class TestTraceRecorder:
         rec = TraceRecorder(store)
         bid = rec.alloc()
         rec.write(bid, [1, 2])
-        assert rec.read(bid).records == [1, 2]
+        assert rec.read(bid).records == (1, 2)
         assert rec.block_size == 8
         assert rec.blocks_in_use == 1
         rec.free(bid)
