@@ -153,11 +153,6 @@ class JournaledStore(StoreLayer):
     # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
-    @property
-    def in_transaction(self) -> bool:
-        """True while a transaction is open."""
-        return self._txn is not None
-
     def begin(self) -> int:
         """Open a transaction; returns its id."""
         if self._txn is not None:

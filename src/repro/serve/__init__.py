@@ -10,7 +10,9 @@ locks and merges results deterministically
 (:mod:`~repro.serve.executor`), copy-on-write snapshot epochs for
 stable long reads (:mod:`~repro.serve.snapshots`), admission control
 with load shedding and backpressure (:mod:`~repro.serve.admission`),
-deadline-bounded degraded reads (:mod:`~repro.serve.deadline`), and a
+deadlines that bound a batch's waits and report unserved x-slabs --
+each shard queue runs whole or not at all, so a batch is late by at
+most one queue (:mod:`~repro.serve.deadline`) -- and a
 background scrubber that repairs silent corruption from healthy
 replicas (:mod:`~repro.serve.scrub`).  :class:`ServingEngine` is the
 facade wiring them together.
@@ -20,7 +22,7 @@ See ``docs/SERVING.md`` for the architecture walk-through and
 """
 
 from repro.serve.admission import AdmissionController, EngineOverloaded
-from repro.serve.deadline import Deadline, DeadlineExpired
+from repro.serve.deadline import Deadline
 from repro.serve.engine import EngineSnapshot, ServingEngine
 from repro.serve.executor import (
     BatchExecutor,
@@ -47,7 +49,6 @@ __all__ = [
     "BatchResult",
     "CircuitBreaker",
     "Deadline",
-    "DeadlineExpired",
     "EngineOverloaded",
     "EngineSnapshot",
     "PartialResult",

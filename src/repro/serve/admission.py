@@ -6,7 +6,9 @@ policy --
 
 - ``"block"``: up to ``max_queue`` submitting threads wait their turn
   (classic bounded queue; work is preserved, latency absorbs the
-  overload), and overflow beyond the bound is shed;
+  overload), and overflow beyond the bound is shed.  A caller may bound
+  its own wait (``acquire(max_wait=)``; the engine passes a batch's
+  remaining deadline) and is shed when the bound passes;
 - ``"shed"``: a submission that cannot start immediately is rejected
   (latency is preserved, work is shed) -- the engine surfaces the
   rejection as :class:`EngineOverloaded`.
@@ -27,8 +29,6 @@ from typing import Dict, Optional
 
 from repro.obs.metrics import counter, gauge
 
-_UNSET = object()
-
 #: Share of the wait queue that, once filled behind a saturated engine,
 #: raises the :meth:`AdmissionController.backpressure` signal.
 HIGH_WATERMARK = 0.5
@@ -39,16 +39,7 @@ class EngineOverloaded(RuntimeError):
 
 
 class AdmissionController:
-    """Counting semaphore with a bounded wait queue and a shed policy.
-
-    ``max_wait`` bounds how long a ``"block"``-policy submitter may sit
-    in the queue: past it the request is shed (counted in the same
-    ``shed`` counter as queue overflow), so a stalled engine converts
-    waiting work into visible rejections instead of an unbounded
-    latency tail.  ``None`` (default) preserves the wait-forever
-    behaviour; :meth:`acquire` accepts a per-call override, which is
-    how the engine threads a query deadline into admission.
-    """
+    """Counting semaphore with a bounded wait queue and a shed policy."""
 
     def __init__(
         self,
@@ -56,7 +47,6 @@ class AdmissionController:
         max_inflight: int = 4,
         max_queue: int = 16,
         policy: str = "block",
-        max_wait: Optional[float] = None,
     ):
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
@@ -64,12 +54,9 @@ class AdmissionController:
             raise ValueError("max_queue must be >= 0")
         if policy not in ("block", "shed"):
             raise ValueError("policy must be 'block' or 'shed'")
-        if max_wait is not None and max_wait < 0:
-            raise ValueError("max_wait must be >= 0 (or None)")
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.policy = policy
-        self.max_wait = max_wait
         self._hwm = max(1, int(max_queue * HIGH_WATERMARK)) if max_queue else 1
         self._cond = threading.Condition()
         self._inflight = 0
@@ -79,15 +66,14 @@ class AdmissionController:
         self.timed_out = 0
 
     # ------------------------------------------------------------------
-    def acquire(self, max_wait=_UNSET) -> bool:
+    def acquire(self, max_wait: Optional[float] = None) -> bool:
         """Admit or shed one request; True means the caller may proceed
         (and must :meth:`release` when done).
 
-        ``max_wait`` overrides the controller-wide bound for this call
-        (``None`` = wait forever); it only matters under the ``block``
-        policy, where a wait past the bound sheds the request.
+        ``max_wait`` bounds this caller's wait in the ``block`` queue
+        (``None`` = wait for a slot); a wait past it sheds the request,
+        counted in ``shed`` like queue overflow and in ``shed_timed_out``.
         """
-        wait_bound = self.max_wait if max_wait is _UNSET else max_wait
         with self._cond:
             if self._inflight < self.max_inflight:
                 self._admit_locked()
@@ -99,7 +85,7 @@ class AdmissionController:
                 self._shed_locked()
                 return False
             deadline = (
-                None if wait_bound is None else time.monotonic() + wait_bound
+                None if max_wait is None else time.monotonic() + max_wait
             )
             self._waiting += 1
             gauge("admission_queue_depth", layer="serve").set(self._waiting)
@@ -167,7 +153,6 @@ class AdmissionController:
                 "policy": self.policy,
                 "max_inflight": self.max_inflight,
                 "max_queue": self.max_queue,
-                "max_wait": self.max_wait,
                 "inflight": self._inflight,
                 "queue_depth": self._waiting,
                 "admitted": self.admitted,

@@ -1,27 +1,21 @@
-"""Deadline propagation: bounded time budgets threaded through a query.
+"""Deadline propagation: a time budget that bounds a batch's waits.
 
 A :class:`Deadline` is an absolute point on the monotonic clock that
-rides along with a batch: the engine checks it at admission, the
-executor checks it when taking shard locks and between operations, and
-the replica layer checks it before falling over to another copy.  When
-it expires, every layer stops *cooperatively* and reports what it did
-finish -- the engine returns a :class:`~repro.serve.executor.
-PartialResult` marked with the x-slabs that were served rather than
-hanging on the slow or dead remainder.
-
-:class:`DeadlineExpired` is the internal control-flow signal a shard
-task raises when its budget runs out mid-queue; it never escapes the
-engine facade.
+rides along with a batch.  It bounds the waits, not the work: the
+admission wait and each shard-lock wait are capped by the remaining
+budget, the executor checks it before fan-out, and each shard task
+checks it once more when it holds its lock.  A shard task that passes
+that last check runs its whole queue; one that does not runs none of
+it, and the engine returns a :class:`~repro.serve.executor.
+PartialResult` naming the x-slabs that were served.  A batch therefore
+finishes at most one shard queue after its deadline, and a missing
+slab applied none of its ops.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Optional
-
-
-class DeadlineExpired(RuntimeError):
-    """A deadline ran out mid-operation (internal control flow)."""
 
 
 class Deadline:
@@ -55,11 +49,6 @@ class Deadline:
     def remaining(self) -> float:
         """Seconds left (never negative)."""
         return max(0.0, self._at - time.monotonic())
-
-    def check(self) -> None:
-        """Raise :class:`DeadlineExpired` if the budget ran out."""
-        if self.expired:
-            raise DeadlineExpired(f"deadline passed {self!r}")
 
     @staticmethod
     def remaining_of(deadline: "Optional[Deadline]") -> Optional[float]:

@@ -25,10 +25,11 @@ replica chains (checksummed, snapshot-capable, independently faulty):
 writes fan out before acknowledging, reads fail over on corruption or
 I/O faults, dead replicas rebuild online from a healthy peer, and
 :meth:`scrub` repairs silently rotten blocks in place.  ``deadline=``
-on :meth:`execute` bounds a batch end to end -- admission wait, lock
-waits, per-op progress, replica fallback -- and returns a
-:class:`~repro.serve.executor.PartialResult` naming the served and
-missing x-slabs instead of hanging.
+on :meth:`execute` bounds a batch's waits -- admission and shard locks
+-- and returns a :class:`~repro.serve.executor.PartialResult` naming
+the served and missing x-slabs instead of hanging.  A shard that
+starts runs its whole queue, so a batch is late by at most one shard
+queue and a missing slab applied none of its ops.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ class ServingEngine:
         max_inflight: Optional[int] = None,
         max_queue: int = 16,
         admission_policy: str = "block",
-        admission_max_wait: Optional[float] = None,
         fault_seed: Optional[int] = None,
         fault_rates: Optional[dict] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -188,7 +188,6 @@ class ServingEngine:
             ),
             max_queue=max_queue,
             policy=admission_policy,
-            max_wait=admission_max_wait,
         )
         self.scrubber = Scrubber(shards)
         self._closed = False
@@ -203,28 +202,21 @@ class ServingEngine:
 
         Without a deadline this raises :class:`EngineOverloaded` when
         the controller sheds the batch -- callers decide whether to
-        retry, back off, or drop.  With one, the whole batch is bounded
-        end to end: the admission wait is capped by the remaining
-        budget, and a batch that runs out of time (in the queue or
-        mid-execution) comes back as a
+        retry, back off, or drop.  With one, the deadline bounds the
+        waits: the admission wait and each shard-lock wait are capped
+        by the remaining budget, and a shard whose task would start
+        late runs none of its ops.  Such a batch comes back as a
         :class:`~repro.serve.executor.PartialResult` naming the served
         and missing x-slabs -- it never hangs and never raises for
-        lateness.
+        lateness; it finishes at most one shard queue after its
+        deadline.
         """
-        if deadline is None:
-            if not self.admission.acquire():
+        if not self.admission.acquire(Deadline.remaining_of(deadline)):
+            if deadline is None:
                 raise EngineOverloaded(
                     f"batch of {len(ops)} ops shed "
                     f"(policy={self.admission.policy!r})"
                 )
-            try:
-                return self.executor.execute(ops)
-            finally:
-                self.admission.release()
-        bound = deadline.remaining()
-        if self.admission.max_wait is not None:
-            bound = min(bound, self.admission.max_wait)
-        if not self.admission.acquire(max_wait=bound):
             # shed while waiting: nothing was served, report it as a
             # degraded (empty) result rather than an exception
             return PartialResult.nothing_served(

@@ -13,7 +13,8 @@ same vocabulary :mod:`repro.workloads.traces` generates).  Execution:
    task takes its shard's writer lock iff its queue contains a
    mutation, else the reader lock -- so disjoint shards always run
    concurrently, and a read-only batch runs concurrently even against
-   one shard.
+   one shard.  Once a task holds its lock it runs its whole queue: a
+   deadline gates the waits before that point, never the work after.
 3. **Merge.**  Per-shard partial results are recombined by batch
    index.  Query partials concatenate in shard order and are sorted;
    since slabs are disjoint, the merged answer is exactly what a
@@ -37,7 +38,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import counter
-from repro.serve.deadline import Deadline, DeadlineExpired
+from repro.serve.deadline import Deadline
 from repro.serve.shards import Shard, SlabRouter
 
 Op = Tuple[str, object]
@@ -70,28 +71,20 @@ class BatchResult:
     shards_touched: int
     counts: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def ops_per_s(self) -> float:
-        """Throughput of this batch."""
-        return self.n_ops / self.wall_s if self.wall_s > 0 else 0.0
-
 
 @dataclass
 class PartialResult(BatchResult):
     """A batch answer that may be degraded by an expired deadline.
 
     Returned whenever a batch runs with a deadline.  ``complete`` is
-    True when every routed shard finished its queue in budget -- then
-    the payload is identical to a plain :class:`BatchResult`.  When the
-    deadline expired first, ``served_slabs`` / ``missing_slabs`` name
-    the shard ids (x-slabs) that did / did not finish their queue.  A
-    missing slab stopped between two of its ops: every op it ran before
-    that point took effect (mutations are applied, query answers are
-    merged in) and the rest did not run.  So a query result may lack a
-    missing slab's contribution, and a mutation routed to a missing
-    slab may or may not be applied -- its ``results`` entry (None for
-    an insert either way, None for a delete that did not run) does not
-    acknowledge it; re-read the point to find out.
+    True when every routed shard ran its queue -- then the payload is
+    identical to a plain :class:`BatchResult`.  When the deadline
+    expired first, ``served_slabs`` / ``missing_slabs`` name the shard
+    ids (x-slabs) that did / did not run their queue.  A slab runs its
+    whole queue or none of it, so the result says exactly what
+    happened: an op routed to a missing slab was not applied (its
+    ``results`` entry is None), and a query touching one lacks exactly
+    that slab's points.
     """
 
     complete: bool = True
@@ -111,7 +104,7 @@ class PartialResult(BatchResult):
         """The result of a batch that never reached its shards
         (``slabs`` are the x-slabs it was routed to)."""
         return cls(
-            results=[None] * len(ops),
+            results=_unanswered(ops),
             wall_s=wall_s,
             n_ops=len(ops),
             shards_touched=0,
@@ -128,6 +121,12 @@ def count_kinds(ops: Sequence[Op]) -> Dict[str, int]:
     for kind, _arg in ops:
         counts[kind] = counts.get(kind, 0) + 1
     return counts
+
+
+def _unanswered(ops: Sequence[Op]) -> List[object]:
+    """The results of a batch before any shard answers: ``[]`` for a
+    query (no slab's points yet), None for a mutation."""
+    return [[] if kind in _QUERIES else None for kind, _arg in ops]
 
 
 def merge_slabs(parts: Iterable[Iterable[tuple]]) -> List[tuple]:
@@ -185,16 +184,16 @@ class BatchExecutor:
         shard: Shard,
         queue: List[Tuple[int, str, tuple, bool]],
         deadline: Optional[Deadline],
-    ) -> Tuple[Dict[int, object], bool]:
-        """One shard's task: ``(partial results by batch index, finished)``.
+    ) -> Optional[Dict[int, object]]:
+        """One shard's task: its results by batch index, or None when
+        the deadline expired before the queue started.
 
         Takes the writer lock iff the queue holds a mutation, else the
-        reader lock.  Without a deadline the lock blocks and every op
-        runs.  With one, the lock wait is bounded by the remaining
-        budget and the deadline is checked between ops; reads also
-        thread it into the replica layer, so a fallback-chain walk
-        cannot overrun it.  On expiry the task stops where it is and
-        reports unfinished; the ops it already ran stay applied.
+        reader lock.  Without a deadline the lock blocks.  With one, the
+        lock wait is bounded by the remaining budget and the deadline is
+        checked once more with the lock held; a task that fails either
+        runs none of its ops.  Past that check the whole queue runs, so
+        a batch finishes at most one shard queue after its deadline.
         """
         lock = shard.lock
         timeout = Deadline.remaining_of(deadline)
@@ -203,28 +202,24 @@ class BatchExecutor:
         else:
             acquired, release = lock.acquire_read(timeout), lock.release_read
         if not acquired:
-            return {}, False
-        partial: Dict[int, object] = {}
+            return None
         try:
+            if deadline is not None and deadline.expired:
+                return None
+            partial: Dict[int, object] = {}
             for idx, kind, arg, spanned in queue:
-                if deadline is not None and deadline.expired:
-                    return partial, False
                 if kind == "ins":
                     shard.insert(arg)
                     partial[idx] = None
                 elif kind == "del":
                     partial[idx] = shard.delete(arg)
                 elif kind == "q3":
-                    partial[idx] = shard.query3(*arg, deadline=deadline)
+                    partial[idx] = shard.query3(*arg)
                 else:
-                    partial[idx] = shard.query4(
-                        *arg, spanned=spanned, deadline=deadline
-                    )
-        except DeadlineExpired:
-            return partial, False
+                    partial[idx] = shard.query4(*arg, spanned=spanned)
+            return partial
         finally:
             release()
-        return partial, True
 
     @staticmethod
     def _count_batch(counts: Dict[str, int]) -> None:
@@ -238,11 +233,14 @@ class BatchExecutor:
     ) -> BatchResult:
         """Run one batch concurrently; results merge deterministically.
 
-        With a ``deadline`` the batch never hangs: shards that cannot
-        finish in budget are abandoned and the answer comes back as a
+        With a ``deadline`` the batch never waits past it: a shard whose
+        lock is not free in budget, or whose task starts after expiry,
+        runs none of its ops, and the answer comes back as a
         :class:`PartialResult` naming the served and missing x-slabs.
-        Without one it returns a plain :class:`BatchResult`.  A failing
-        shard task raises :class:`ShardTaskError` once every task ended.
+        A started shard queue always runs whole, so the batch is late by
+        at most one queue.  Without a deadline it returns a plain
+        :class:`BatchResult`.  A failing shard task raises
+        :class:`ShardTaskError` once every task ended.
         """
         t0 = time.perf_counter()
         queues = self.route(ops)
@@ -264,24 +262,24 @@ class BatchExecutor:
             ))
             for sid in sorted(queues)
         ]
-        # a query whose x-range is empty (b < a) routes to no shard and
-        # answers []; every other entry is filled from the shard tasks
-        results: List[object] = [
-            [] if kind in _QUERIES and arg[1] < arg[0] else None
-            for kind, arg in ops
-        ]
+        # an entry no shard task fills keeps its unanswered value: a
+        # query whose x-range is empty (b < a) routes to no shard
+        results = _unanswered(ops)
         query_parts: Dict[int, List[list]] = {}
         served: List[int] = []
         missing: List[int] = []
         error: Optional[ShardTaskError] = None
         for shard_id, fut in futures:  # shard order
             try:
-                partial, finished = fut.result()
+                partial = fut.result()
             except BaseException as exc:  # noqa: BLE001 - annotate and rethrow
                 if error is None:
                     error = ShardTaskError(shard_id, exc)
                 continue
-            (served if finished else missing).append(shard_id)
+            if partial is None:
+                missing.append(shard_id)
+                continue
+            served.append(shard_id)
             for idx, value in partial.items():
                 if ops[idx][0] in _QUERIES:
                     query_parts.setdefault(idx, []).append(value)

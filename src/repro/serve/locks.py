@@ -9,9 +9,11 @@ sustained mixed read/write regime of Yi's *Dynamic Indexability*.
 
 Both acquire methods take an optional ``timeout``: ``None`` (default)
 blocks forever and returns True, a number bounds the wait and returns
-False on expiry without taking the lock -- the primitive the serving
-tier's deadline propagation stands on (a shard task whose deadline ran
-out must report its slab unserved, not hang on a busy writer).
+False on expiry without taking the lock.  The lock wait is one of the
+waits a batch deadline bounds: a shard task whose lock is not free in
+the remaining budget reports its slab unserved and runs none of its
+ops, rather than hang on a busy writer.  Once a task holds the lock,
+its whole queue runs, so lateness is at most one shard queue.
 
 The implementation is a plain condition variable; it never spins and
 holds no references to the protected state, so a shard can expose it

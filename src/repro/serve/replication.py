@@ -53,7 +53,6 @@ from repro.obs.metrics import counter, gauge
 from repro.resilience.errors import FaultInjectionError
 from repro.resilience.faulty_store import FaultyStore
 from repro.resilience.retry import RetryingStore, RetryPolicy
-from repro.serve.deadline import Deadline, DeadlineExpired
 from repro.serve.snapshots import SnapshotStore
 
 #: Exceptions that retire the current replica attempt and move on to a
@@ -118,11 +117,6 @@ class CircuitBreaker:
             gauge("breaker_state", layer="serve", **self._labels).set(
                 self._STATE_INT[state]
             )
-
-    @property
-    def as_int(self) -> int:
-        """0 = closed, 1 = half-open, 2 = open (gauge encoding)."""
-        return self._STATE_INT[self.state]
 
     def allow(self) -> bool:
         """May an operation flow through right now?"""
@@ -247,9 +241,16 @@ class Replica:
 
         One honest write through the snapshot layer (below fault
         injection: no schedule draw; open epochs keep pre-images), then
-        the block's latch is cleared and any pool frame dropped.
+        the block's latch is cleared and any pool frame dropped.  The
+        verified payload is the block's frozen content, so when the
+        live bytes are too rotten to serve as an open epoch's pre-image
+        it stands in for them.
         """
-        self.snapstore.write(bid, payload)
+        try:
+            self.snapstore.write(bid, payload)
+        except CorruptBlockError:
+            self.snapstore.preserve(bid, payload)
+            self.snapstore.write(bid, payload)
         if self.faulty is not None:
             self.faulty.heal(bid)
         if self.pool is not None:
@@ -517,9 +518,7 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # read-one / fallback
     # ------------------------------------------------------------------
-    def read_any(
-        self, fn: Callable[[Any], Any], *, deadline: Optional[Deadline] = None
-    ):
+    def read_any(self, fn: Callable[[Any], Any]):
         """Serve a read from the first replica that can answer.
 
         Caller holds the shard's reader lock.  Replica order is primary
@@ -529,10 +528,7 @@ class ReplicaSet:
         from verified bytes (its own post-rollback payload or a peer
         copy, both content-identical to what concurrent readers expect,
         so this is safe under the reader lock) and the same replica
-        retried once -- then falls over to the next copy; between
-        attempts an expired ``deadline`` raises :class:`DeadlineExpired`
-        instead of trying further copies -- the deadline-aware degraded
-        read.
+        retried -- then falls over to the next copy.
         """
         if len(self.replicas) == 1:
             return fn(self.replicas[0].structure)
@@ -543,11 +539,6 @@ class ReplicaSet:
                 continue
             if not r.breaker.allow():
                 continue
-            if tried and deadline is not None and deadline.expired:
-                raise DeadlineExpired(
-                    f"shard {self.shard_id}: deadline ran out before a "
-                    f"fallback replica could answer"
-                )
             tried += 1
             for _ in range(OP_RETRY_BOUND):
                 try:

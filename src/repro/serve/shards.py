@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.core.log_method import LogMethodThreeSidedIndex
 from repro.obs.metrics import counter
-from repro.serve.deadline import Deadline
 from repro.serve.locks import ReadWriteLock
 from repro.serve.replication import Replica, ReplicaSet, ReplicaSpec
 from repro.serve.snapshots import ShardSnapshot
@@ -178,19 +177,10 @@ class Shard:
         counter("shard_ops", layer="serve", kind="del").inc()
         return ok
 
-    def query3(
-        self,
-        a: float,
-        b: float,
-        c: float,
-        *,
-        deadline: Optional[Deadline] = None,
-    ) -> List[Point]:
+    def query3(self, a: float, b: float, c: float) -> List[Point]:
         """3-sided query, served by the first replica that can answer."""
         counter("shard_ops", layer="serve", kind="q3").inc()
-        return self.replica_set.read_any(
-            lambda s: s.query(a, b, c), deadline=deadline
-        )
+        return self.replica_set.read_any(lambda s: s.query(a, b, c))
 
     def query4(
         self,
@@ -200,7 +190,6 @@ class Shard:
         d: float,
         *,
         spanned: bool = False,
-        deadline: Optional[Deadline] = None,
     ) -> List[Point]:
         """4-sided query.  ``spanned=True`` (slab inside ``[a, b]``)
         answers from the in-memory y-directory -- zero disk I/O; the
@@ -211,8 +200,7 @@ class Shard:
             hi = bisect.bisect_right(self._ylist, (d, float("inf")))
             return [(x, y) for (y, x) in self._ylist[lo:hi]]
         return self.replica_set.read_any(
-            lambda s: [p for p in s.query(a, b, c) if p[1] <= d],
-            deadline=deadline,
+            lambda s: [p for p in s.query(a, b, c) if p[1] <= d]
         )
 
     def all_points(self) -> List[Point]:

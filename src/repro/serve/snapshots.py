@@ -35,6 +35,7 @@ import threading
 from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.io.blockstore import Block, StorageError
+from repro.io.checksum import CorruptBlockError
 from repro.io.layer import StoreLayer
 from repro.obs.metrics import counter, gauge
 
@@ -78,19 +79,28 @@ class SnapshotStore(StoreLayer):
     # ------------------------------------------------------------------
     def _preserve(self, bid: int) -> None:
         with self._lock:
-            needy = [
-                ep for ep in self._epochs.values()
-                if bid not in ep.undo and bid not in ep.new
-            ]
-        if not needy:
-            return
+            if not any(
+                bid not in ep.undo and bid not in ep.new
+                for ep in self._epochs.values()
+            ):
+                return
         try:
             records = self._store.read(bid).records
+        except CorruptBlockError:
+            # a rotten pre-image: the mutation must not land without
+            # one, or no rollback could undo it
+            raise
         except StorageError:
             return  # unallocated: let the mutation raise its own error
+        self.preserve(bid, records)
+
+    def preserve(self, bid: int, records: Tuple[Any, ...]) -> None:
+        """Keep ``records`` as ``bid``'s pre-image in every open epoch
+        that has none yet (a repair write passes the verified payload
+        when the live bytes are rotten)."""
         counter("snapshot_blocks_kept", layer="serve").inc()
         with self._lock:
-            for ep in needy:
+            for ep in self._epochs.values():
                 if bid not in ep.undo and bid not in ep.new:
                     ep.undo[bid] = records
 
@@ -104,13 +114,18 @@ class SnapshotStore(StoreLayer):
         return bid
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
-        """Write through, preserving the pre-image for open epochs."""
+        """Write through, preserving the pre-image for open epochs.
+
+        Raises :class:`~repro.io.checksum.CorruptBlockError` (nothing
+        written) when an epoch needs the pre-image and it is rotten.
+        """
         if self._epochs:
             self._preserve(bid)
         self._store.write(bid, records)
 
     def free(self, bid: int) -> None:
-        """Free through, preserving the pre-image for open epochs."""
+        """Free through, preserving the pre-image for open epochs (a
+        rotten one raises as in :meth:`write`)."""
         if self._epochs:
             self._preserve(bid)
         self._store.free(bid)

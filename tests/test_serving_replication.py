@@ -15,7 +15,7 @@ import pytest
 from tests.conftest import brute_3sided, brute_4sided, make_points
 from repro.io import BlockStore, ChecksummedStore, CorruptBlockError
 from repro.io.checksum import record_crc
-from repro.resilience import FaultSchedule
+from repro.resilience import FaultSchedule, TransientIOError
 from repro.serve import (
     AdmissionController,
     CircuitBreaker,
@@ -358,10 +358,54 @@ class TestRotPaths:
         with pytest.raises(CorruptBlockError):
             fresh.checksummed.read(inherited)
 
+    def test_rotten_pre_image_is_repaired_before_a_write_lands(self, rng):
+        """A write over a block whose live bytes rotted at rest must not
+        land without a pre-image: the rollback could not undo it."""
+        sh = make_shard(make_points(rng, 150), pool=8)
+        rs = sh.replica_set
+        r0, r1 = rs.replicas
+        buf = r0.structure._buffer_bid
+        r0.store.read(buf)                      # a resident pool frame
+        r0.base_store.scribble(buf, ["rot"])    # then rot at rest
+
+        def doomed(structure):
+            structure.insert(1.0, 1.0)
+            next(r for r in rs.replicas if r.structure is structure).flush()
+            raise TransientIOError("fails after the flush")
+
+        with pytest.raises(ReplicaSetExhausted):
+            rs.apply_write(doomed)
+        assert r0.base_store.peek(buf) == r1.base_store.peek(buf)
+        assert r0.checksummed.verify(buf)
+        assert replica_image(r0) == replica_image(r1)
+        for r in rs.replicas:
+            assert (1.0, 1.0) not in r.structure.query(0, 1000, 0)
+
 
 # ----------------------------------------------------------------------
 # deadlines and degraded reads
 # ----------------------------------------------------------------------
+class CountdownDeadline(Deadline):
+    """A deadline whose first ``k`` expiry checks pass and every later
+    one fails -- expiry at a chosen check, independent of the clock."""
+
+    def __init__(self, k):
+        super().__init__(float("inf"))
+        self.left = k
+
+    @property
+    def expired(self):
+        self.left -= 1
+        return self.left < 0
+
+    def remaining(self):
+        return 60.0
+
+
+def slab_of(eng, p):
+    return eng.router.shard_for_x(p[0]).shard_id
+
+
 class TestDeadlines:
     def test_expired_deadline_gives_empty_partial(self, rng):
         eng = ServingEngine(make_points(rng, 100), n_shards=2,
@@ -398,6 +442,68 @@ class TestDeadlines:
         assert (1.0, 1.0) not in eng.execute(
             [("q4", (0, 1000, 0, 1000))]
         ).results[0]
+        eng.close()
+
+    def test_a_slab_runs_its_whole_queue_or_none_of_it(self, rng):
+        """Expiring at every check in turn: each op on a served slab took
+        effect, each op on a missing slab did not, and a query lacks
+        exactly the missing slabs' points."""
+        n_shards = 4
+        pts = make_points(rng, 300)
+        fresh = make_points(random.Random(5), 12)
+        # inserts first, so a cut after a slab's first op would show
+        ops = [("ins", p) for p in fresh] + [("del", p) for p in pts[:12]]
+        ops += [("q3", (0, 1000, 500)), ("q4", (100, 900, 0, 600)),
+                ("ins", (1.0, 1.0)), ("q3", (0, 1000, 0))]
+
+        def engine():
+            return ServingEngine(pts, n_shards=n_shards, block_size=16,
+                                 backend="log", max_workers=1)
+
+        full = engine()
+        want = full.execute(ops).results
+        full.close()
+        for k in range(n_shards + 2):
+            eng = engine()
+            slabs = sorted(eng.executor.route(ops))
+            assert slabs == list(range(n_shards))
+            out = eng.execute(ops, deadline=CountdownDeadline(k))
+            assert sorted(out.served_slabs + out.missing_slabs) == slabs
+            served = set(out.served_slabs)
+            live = set(eng.all_points())
+            for i, (kind, arg) in enumerate(ops):
+                if kind == "ins":
+                    assert (arg in live) == (slab_of(eng, arg) in served)
+                elif kind == "del":
+                    ran = slab_of(eng, arg) in served
+                    assert (arg not in live) == ran
+                    assert out.results[i] == (True if ran else None)
+                else:
+                    assert out.results[i] == [
+                        p for p in want[i] if slab_of(eng, p) in served
+                    ], (k, i)
+            # one check before fan-out, then one per task in shard order
+            n_served = max(0, min(k - 1, n_shards))
+            assert out.served_slabs == slabs[:n_served], k
+            assert out.complete == (n_served == n_shards)
+            eng.close()
+
+    def test_lock_wait_past_the_deadline_leaves_the_slab_untouched(self, rng):
+        eng = ServingEngine(make_points(rng, 200), n_shards=2,
+                            block_size=16, backend="log")
+        cut = eng.router.boundaries[0]
+        p0, p1 = (cut / 2, 1.0), ((cut + 1000.0) / 2, 1.0)
+        busy = eng.router.shards[1].lock
+        assert busy.acquire_write(timeout=1.0)
+        try:
+            out = eng.execute([("ins", p0), ("ins", p1)],
+                              deadline=Deadline.after(0.5))
+        finally:
+            busy.release_write()
+        assert (out.served_slabs, out.missing_slabs) == ([0], [1])
+        assert out.deadline_expired and not out.complete
+        live = eng.all_points()
+        assert p0 in live and p1 not in live
         eng.close()
 
 
@@ -439,24 +545,33 @@ class TestLockTimeouts:
 
 class TestAdmissionShedding:
     def test_block_policy_sheds_past_max_wait(self):
-        ac = AdmissionController(max_inflight=1, max_queue=0,
-                                 policy="block", max_wait=0.02)
+        ac = AdmissionController(max_inflight=1, max_queue=1,
+                                 policy="block")
         assert ac.acquire()
-        assert ac.acquire() is False  # timed out, shed
+        assert ac.acquire(max_wait=0.02) is False  # waited, timed out, shed
         ac.release()
         st = ac.snapshot()
-        assert st["shed"] == 1
+        assert (st["shed"], st["shed_timed_out"]) == (1, 1)
         assert st["shed_rate"] == pytest.approx(0.5)
-        assert st["max_wait"] == pytest.approx(0.02)
 
     def test_shed_rate_in_engine_stats(self, rng):
         eng = ServingEngine(make_points(rng, 60), n_shards=2,
-                            block_size=16, backend="log",
-                            admission_max_wait=0.05)
+                            block_size=16, backend="log", max_inflight=1)
         eng.execute([("q3", (0, 1000, 0))])
+        assert eng.stats()["shed_rate"] == 0.0
+        assert eng.admission.acquire()  # hold the only slot
+        try:
+            out = eng.execute([("ins", (1.0, 1.0))],
+                              deadline=Deadline.after(0.05))
+        finally:
+            eng.admission.release()
+        # the batch deadline bounded the admission wait: shed, not run
+        assert isinstance(out, PartialResult) and out.deadline_expired
+        assert out.served_slabs == [] and out.results == [None]
         st = eng.stats()
-        assert st["shed_rate"] == 0.0
-        assert st["admission"]["max_wait"] == pytest.approx(0.05)
+        assert st["admission"]["shed_timed_out"] == 1
+        assert st["shed_rate"] == pytest.approx(1 / 3)
+        assert (1.0, 1.0) not in eng.all_points()
         eng.close()
 
 
@@ -609,4 +724,60 @@ class TestEngineChaos:
         assert eng.query3(float("-inf"), float("inf"),
                           float("-inf")) == sorted(pts)
         assert eng.stats()["replication"]["read_fallbacks"] >= 1
+        eng.close()
+
+
+# ----------------------------------------------------------------------
+# a held snapshot across primary loss
+# ----------------------------------------------------------------------
+class TestSnapshotAcrossPrimaryLoss:
+    """A snapshot is pinned to the chain that was shard 0's primary when
+    it opened.  Killing that replica and rebuilding it leaves the old
+    chain retired: the snapshot still answers its frozen cut from it,
+    and a fault there reaches the snapshot reader with no failover."""
+
+    def held_snapshot(self, rng):
+        pts = make_points(rng, 400)
+        eng = ServingEngine(pts, n_shards=2, block_size=16, backend="pst",
+                            replication_factor=2)
+        snap = eng.snapshot()
+        retired = eng.router.shards[0].primary
+        eng.kill_replica(0, 0)
+        live = set(pts)
+        for _ in range(200):
+            p = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            eng.insert(*p)
+            live.add(p)
+        rs = eng.router.shards[0].replica_set
+        assert rs.rebuilds == 1 and rs.replicas[0] is not retired
+        assert eng.all_points() == sorted(live)
+        return eng, pts, snap, retired
+
+    def test_retired_chain_still_answers_the_frozen_cut(self, rng):
+        eng, pts, snap, _retired = self.held_snapshot(rng)
+        assert snap.count == len(pts)
+        assert snap.all_points() == sorted(pts)
+        assert snap.query4(0, 1000, 0, 1000) == brute_4sided(
+            set(pts), 0, 1000, 0, 1000
+        )
+        snap.close()
+        eng.close()
+
+    def test_rot_on_the_retired_chain_fails_loudly(self, rng):
+        eng, pts, snap, retired = self.held_snapshot(rng)
+        read = []
+
+        def watch(op, bid):
+            if op == "read":
+                read.append(bid)
+
+        retired.base_store.add_observer(watch)
+        assert snap.all_points() == sorted(pts)
+        retired.base_store.remove_observer(watch)
+        retired.base_store.scribble(read[-1], [("__bitrot__", 0)])
+        with pytest.raises(CorruptBlockError):
+            snap.all_points()
+        # the live shards are unaffected: only the snapshot is pinned
+        assert len(eng.all_points()) == eng.count
+        snap.close()
         eng.close()
