@@ -44,7 +44,6 @@ from repro.io.blockstore import StorageError
 from repro.io.hooks import crash_point, prefetch_hint
 from repro.core.small_structure import SmallThreeSidedStructure
 from repro.core.scheduling import ALL_SCHEDULERS, BubbleUpScheduler, EagerScheduler
-from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.substrates.blocked_list import BlockedSequence
 
@@ -449,7 +448,6 @@ class ExternalPrioritySearchTree:
         """3-sided query: all points with ``a <= x <= b`` and ``y >= c``."""
         if self._root is None:
             return []
-        counter("queries", structure="external_pst", op="three_sided").inc()
         lo_key, hi_key = (a, NEG_INF), (b, INF)
         q3 = ThreeSidedQuery(lo_key, hi_key, c)
         out: List[Point] = []
@@ -610,7 +608,6 @@ class ExternalPrioritySearchTree:
             self._count = 1
             return
 
-        counter("inserts", structure="external_pst").inc()
         # ---- phase 1: insert the key into the base tree ----
         with span(self._store, "pst.insert.descend"):
             path: List[int] = []
@@ -777,7 +774,6 @@ class ExternalPrioritySearchTree:
         self._write_leaf(rbid, len(right_keys), self._make_key_blocks(right_keys),
                          lz_right.dir_bid, sep)
         self.splits += 1
-        counter("splits", structure="external_pst", op="leaf").inc()
         self._install_split(
             path, len(path) - 1, bid, rbid, sep,
             len(left_keys), len(right_keys),
@@ -818,7 +814,6 @@ class ExternalPrioritySearchTree:
         self._write_internal(bid, level, lw, low, list(left_e))
         self._write_internal(rbid, level, rw, sep, list(right_e))
         self.splits += 1
-        counter("splits", structure="external_pst", op="internal").inc()
         lsub = sum(e[4] + e[6] for e in left_e)
         rsub = sum(e[4] + e[6] for e in right_e)
         self._install_split(
@@ -1001,7 +996,6 @@ class ExternalPrioritySearchTree:
         """Delete a point in O(log_B N) I/Os amortized; True if present."""
         if self._root is None:
             return False
-        counter("deletes", structure="external_pst").inc()
         key = (float(x), float(y))
         rec = (key, key[1])
         path: List[Tuple[int, int]] = []  # (bid, entry slot taken)
@@ -1090,7 +1084,6 @@ class ExternalPrioritySearchTree:
         crash_point(self._store, "pst.rebuild.mid")
         self.scheduler.on_rebuild()
         self.rebuilds += 1
-        counter("rebuilds", structure="external_pst").inc()
         self._bulk_build(pts)
 
     def _destroy_tree(self) -> None:

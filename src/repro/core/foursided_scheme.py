@@ -30,7 +30,6 @@ from repro.geometry import (
 )
 from repro.core.threesided_scheme import ThreeSidedSweepIndex
 from repro.indexability.scheme import IndexingScheme
-from repro.obs.metrics import counter
 
 #: Identifies one physical block of the layered scheme:
 #: (level, set_index, side, block_index) with side in {"left", "right"}.
@@ -206,7 +205,6 @@ class FourSidedLayeredIndex:
         """
         if not self.points:
             return [], []
-        counter("queries", structure="foursided_scheme", op="four_sided").inc()
         node = self._route(q.a, q.b)
         blocks: List[BlockId] = []
         out: List[Point] = []
@@ -222,9 +220,6 @@ class FourSidedLayeredIndex:
                 (node.level, node.index, "right", bi) for bi in used
             )
             out.extend(p for p in pts if q.contains(p))
-            counter(
-                "blocks_touched", structure="foursided_scheme", phase="leaf"
-            ).inc(len(blocks))
             return out, blocks
 
         # locate the children holding a and b
@@ -264,12 +259,6 @@ class FourSidedLayeredIndex:
                 side = "right"
             blocks.extend((child.level, child.index, side, bi) for bi in used)
             out.extend(p for p in pts if q.contains(p))
-            phase = "right_open" if k == ci else (
-                "left_open" if k == cj else "middle"
-            )
-            counter(
-                "blocks_touched", structure="foursided_scheme", phase=phase
-            ).inc(len(used))
         return out, blocks
 
     # ------------------------------------------------------------------

@@ -42,7 +42,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry import INF, NEG_INF, FourSidedQuery, Point
 from repro.core.external_pst import ExternalPrioritySearchTree
-from repro.obs.metrics import counter
 from repro.obs.spans import span
 from repro.substrates.bplus_tree import BPlusTree
 
@@ -208,7 +207,6 @@ class ExternalRangeTree:
         """All points with ``a <= x <= b`` and ``c <= y <= d``."""
         if self._root is None or self._count == 0:
             return []
-        counter("queries", structure="range_tree", op="four_sided").inc()
         lo_key, hi_key = (a, NEG_INF), (b, INF)
         node = self._root
         # descend to the lowest node whose x-range covers [a, b]
@@ -279,7 +277,6 @@ class ExternalRangeTree:
         if self._root is None:
             self._bulk_build([(x, y)])
             return
-        counter("inserts", structure="range_tree").inc()
         key = (x, y)
         node = self._root
         while True:
@@ -339,7 +336,6 @@ class ExternalRangeTree:
         pts = self.all_points()
         self._destroy()
         self.rebuilds += 1
-        counter("rebuilds", structure="range_tree").inc()
         self._bulk_build(pts)
 
     def all_points(self) -> List[Point]:

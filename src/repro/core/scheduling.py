@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.io.hooks import crash_point
-from repro.obs.metrics import counter
 from repro.obs.spans import span
 
 
@@ -99,9 +98,6 @@ class BubbleUpScheduler:
             done = self.pst.promote_once(parent_bid, child_bid)
             if done:
                 self.promotions += 1
-                counter(
-                    "promotions", structure="external_pst", scheduler=self.name
-                ).inc()
             if self.pst.refill_deficit(parent_bid, child_bid) <= 0:
                 self.pending.discard(child_bid)
         return done
@@ -119,9 +115,6 @@ class EagerScheduler(BubbleUpScheduler):
                 if not self.pst.promote_once(parent_bid, child_bid):
                     break
                 self.promotions += 1
-                counter(
-                    "promotions", structure="external_pst", scheduler=self.name
-                ).inc()
 
 
 class HeavyLeafScheduler(BubbleUpScheduler):

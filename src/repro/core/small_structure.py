@@ -32,7 +32,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.geometry import NEG_INF, Point, ThreeSidedQuery
 from repro.core.threesided_scheme import ThreeSidedSweepIndex, block_live_at
-from repro.obs.metrics import counter
 from repro.obs.spans import span
 
 # catalog record: (x_lo, x_hi, y_from, y_to, data_bid, y_max)
@@ -294,7 +293,6 @@ class SmallThreeSidedStructure:
         ):
             self._store.write(self._pending_bid, [])
             self.rebuilds += 1
-            counter("rebuilds", structure="small_structure").inc()
             seen: Set[Point] = set()
             for bid in self._data_bids:
                 seen.update(self._store.read(bid).records)

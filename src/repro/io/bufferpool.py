@@ -23,7 +23,8 @@ the gated experiment baselines depend on that):
     via :func:`repro.io.hooks.prefetch_hint`; the pool learns the
     successor of each hinted block and, on a logical miss, batch-fetches
     up to ``readahead_window`` further blocks down the learned chain.
-    Counters: ``prefetch_issued`` (blocks fetched ahead of demand),
+    Counters (pool attributes, reported by :meth:`BufferPool.snapshot`):
+    ``prefetch_issued`` (blocks fetched ahead of demand),
     ``prefetch_hits`` (later reads served from a prefetched frame),
     ``prefetch_waste`` (prefetched frames evicted, dropped or
     overwritten before any read).  ``issued == hits + waste +
@@ -125,21 +126,6 @@ class BufferPool(StoreLayer):
         # this lock; single-threaded callers pay one uncontended acquire
         self._lock = threading.RLock()
         self._observers: List[StoreObserver] = []
-        # registry counters only when the features needing them are on,
-        # so default pools add no metric keys (import is lazy to keep
-        # repro.io free of an import-time obs dependency)
-        self._m_issued = self._m_phits = self._m_waste = None
-        self._m_coalesced = None
-        if self._window > 0 or self._coalesce:
-            from repro.obs.metrics import counter as _counter
-
-            labels = {"structure": "bufferpool", "policy": self._policy.name}
-            if self._window > 0:
-                self._m_issued = _counter("prefetch_issued", **labels)
-                self._m_phits = _counter("prefetch_hits", **labels)
-                self._m_waste = _counter("prefetch_waste", **labels)
-            if self._coalesce:
-                self._m_coalesced = _counter("coalesced_writes", **labels)
 
     # ------------------------------------------------------------------
     # Storage protocol
@@ -188,8 +174,6 @@ class BufferPool(StoreLayer):
                 if bid in self._prefetched:
                     self._prefetched.discard(bid)
                     self.prefetch_hits += 1
-                    if self._m_phits is not None:
-                        self._m_phits.inc()
                 if self._observers:
                     self._emit("hit", bid)
                 return Block(bid, self._frames[bid])
@@ -235,8 +219,6 @@ class BufferPool(StoreLayer):
                     # never used, so the prefetch was wasted
                     self._prefetched.discard(bid)
                     self.prefetch_waste += 1
-                    if self._m_waste is not None:
-                        self._m_waste.inc()
             else:
                 self._evict_to_fit()
                 self._policy.record_insert(bid)
@@ -260,8 +242,6 @@ class BufferPool(StoreLayer):
             if bid in self._prefetched:
                 self._prefetched.discard(bid)
                 self.prefetch_waste += 1
-                if self._m_waste is not None:
-                    self._m_waste.inc()
             self._succ.pop(bid, None)
 
     def invalidate(self, bid: int) -> None:
@@ -348,8 +328,6 @@ class BufferPool(StoreLayer):
             self._policy.record_insert(nxt)
             self._prefetched.add(nxt)
             self.prefetch_issued += 1
-            if self._m_issued is not None:
-                self._m_issued.inc()
             if self._observers:
                 self._emit("prefetch", nxt)
             nxt = succ.get(nxt)
@@ -373,8 +351,6 @@ class BufferPool(StoreLayer):
                 # saved the physical read the pin would have issued
                 self._prefetched.discard(bid)
                 self.prefetch_hits += 1
-                if self._m_phits is not None:
-                    self._m_phits.inc()
             if bid in self._dirty:
                 self._dirty.discard(bid)
                 self._pinned_dirty.add(bid)
@@ -424,8 +400,6 @@ class BufferPool(StoreLayer):
             self._dirty.discard(bid)
             if self._coalesce and bid != leader:
                 self.coalesced_writes += 1
-                if self._m_coalesced is not None:
-                    self._m_coalesced.inc()
 
     def drop(self) -> None:
         """Flush then empty the cache (pinned frames stay resident)."""
@@ -433,8 +407,6 @@ class BufferPool(StoreLayer):
             self.flush()
             if self._prefetched:
                 self.prefetch_waste += len(self._prefetched)
-                if self._m_waste is not None:
-                    self._m_waste.inc(len(self._prefetched))
                 self._prefetched.clear()
             self._frames.clear()
             self._policy.clear()
@@ -520,8 +492,6 @@ class BufferPool(StoreLayer):
         if victim in self._prefetched:
             self._prefetched.discard(victim)
             self.prefetch_waste += 1
-            if self._m_waste is not None:
-                self._m_waste.inc()
         self.evictions += 1
         if self._observers:
             self._emit("evict", victim)

@@ -29,8 +29,8 @@ Semantics worth knowing:
   BlockStore.place`) and records its CRC, so a rebuilt mirror starts
   life fully checksummed.
 
-Mismatches are counted under ``crc_mismatches{layer=io}`` in the
-metrics registry.
+Mismatches are counted on the wrapper itself
+(:attr:`ChecksummedStore.mismatches`).
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ class ChecksummedStore(StoreLayer):
     def __init__(self, store):
         super().__init__(store)
         self._crcs: Dict[int, int] = {}
-        self.verified = 0     # reads that passed the checksum
         self.mismatches = 0   # reads that raised CorruptBlockError
 
     # pass-throughs (no I/O, no verification), defined on the class so the
@@ -106,11 +105,7 @@ class ChecksummedStore(StoreLayer):
             self._crcs[bid] = actual
         elif actual != expected:
             self.mismatches += 1
-            from repro.obs.metrics import counter
-
-            counter("crc_mismatches", layer="io").inc()
             raise CorruptBlockError(bid, expected, actual)
-        self.verified += 1
         return block
 
     def write(self, bid: int, records: Iterable[Any]) -> None:
@@ -181,5 +176,5 @@ class ChecksummedStore(StoreLayer):
     def __repr__(self) -> str:
         return (
             f"ChecksummedStore(tracked={len(self._crcs)}, "
-            f"verified={self.verified}, mismatches={self.mismatches})"
+            f"mismatches={self.mismatches})"
         )

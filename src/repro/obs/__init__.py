@@ -2,8 +2,9 @@
 
 Three layers, importable independently:
 
-- :mod:`repro.obs.metrics` -- named counters/gauges keyed by structure
-  and operation (splits, rebuilds, promotions, phase block counts).
+- :mod:`repro.obs.metrics` -- a standalone registry of named
+  counters/gauges; the library itself counts each event on the object
+  that owns it and writes nothing here.
 - :mod:`repro.obs.spans` -- nested spans attributing every physical
   read/write/alloc to a logical phase via the ``BlockStore`` /
   ``BufferPool`` observer hook points.

@@ -1,15 +1,14 @@
-"""A registry of named counters and gauges, keyed by structure/operation.
+"""A standalone registry of named counters and gauges.
 
-The I/O counters in :mod:`repro.io.stats` answer "how many blocks
-moved"; this registry answers "which structure did what, how often":
-splits, rebuilds, promotions, blocks touched per query phase, cache
-evictions.  Structures record into the process-wide default registry
-(cheap: one dict lookup plus an integer add per event, and the recorded
-events -- splits, rebuilds, whole queries -- are orders of magnitude
-rarer than block I/Os), and exporters snapshot it into the versioned
-JSON alongside the span trees.
+Nothing in the library writes here: each event is counted once, as an
+attribute of the object that owns it (``IOStats`` on the block store,
+``splits`` / ``rebuilds`` on the structures, the pool's hit counts,
+``ReplicaSet.stats()``, the admission controller's ``snapshot()``, the
+fault schedule's event log), and ``ServingEngine.stats()`` gathers the
+serving tier's per engine.  The registry is process-global and
+unlocked; it is kept as a utility for ad-hoc instrumentation.
 
-Metrics are identified by a name plus free-form labels, conventionally
+Metrics are identified by a name plus free-form labels, for example
 ``structure=`` and ``op=``::
 
     counter("splits", structure="external_pst", op="insert").inc()

@@ -21,9 +21,8 @@ store and move only on operations that actually reach it (asserted in
 ``tests/test_resilience_faults.py``; the CI bench gate never sees this
 wrapper at all).
 
-Injected faults are counted in the :mod:`repro.obs.metrics` registry
-under ``faults{layer=io,kind=...}`` so recovery cost shows up in bench
-exports next to the I/O counts.
+Every injected fault is logged once, in the schedule's own
+:attr:`~repro.resilience.faults.FaultSchedule.events`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Set
 
 from repro.io.layer import StoreLayer
-from repro.obs.metrics import counter
 from repro.resilience import faults as F
 from repro.resilience.errors import (
     PermanentIOError,
@@ -75,7 +73,6 @@ class FaultyStore(StoreLayer):
             return -1, None
         index, decision = self.schedule.next_op(op, bid)
         if decision is not None and decision[0] == F.CRASH_OP:
-            self._count_fault(F.CRASH_OP)
             raise SimulatedCrash(("op", index, op, bid))
         return index, decision
 
@@ -96,7 +93,6 @@ class FaultyStore(StoreLayer):
             raise PermanentIOError(f"read of broken block {bid}")
         if decision is not None:
             kind = decision[0]
-            self._count_fault(kind)
             if kind == F.READ_TRANSIENT:
                 raise TransientIOError(f"transient read error on block {bid}")
             if kind == F.READ_PERMANENT:
@@ -111,7 +107,6 @@ class FaultyStore(StoreLayer):
             raise PermanentIOError(f"write to broken block {bid}")
         if decision is not None:
             kind = decision[0]
-            self._count_fault(kind)
             if kind == F.WRITE_TRANSIENT:
                 raise TransientIOError(f"transient write error on block {bid}")
             if kind == F.WRITE_PERMANENT:
@@ -161,13 +156,7 @@ class FaultyStore(StoreLayer):
     def crash_hook(self, tag: str) -> None:
         """Die here if the schedule picked this crash-point index."""
         if self.schedule.next_point(tag):
-            self._count_fault(F.CRASH_POINT)
             raise SimulatedCrash(("point", self.schedule.points_seen - 1, tag))
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _count_fault(kind: str) -> None:
-        counter("faults", layer="io", kind=kind).inc()
 
     def __repr__(self) -> str:
         return f"FaultyStore({self.schedule!r})"

@@ -52,7 +52,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.io.blockstore import Block, BlockCapacityError, StorageError
 from repro.io.layer import StoreLayer
-from repro.obs.metrics import counter
 from repro.resilience.errors import RecoveryError, SimulatedCrash
 
 
@@ -128,13 +127,11 @@ class JournaledStore(StoreLayer):
                 continue  # chain block lost before its write: nothing in it
         committed = [e[1] for e in entries if e and e[0] == "C"]
         committed_set = set(committed)
-        outcome = "clean"
         for tid in committed:
             self._apply(
                 [e for e in entries if len(e) > 1 and e[1] == tid],
                 tolerant=True,
             )
-            outcome = "redo"
         # discard open transactions: reclaim their logged allocations
         for e in entries:
             if e and e[0] == "A" and e[1] not in committed_set:
@@ -142,9 +139,7 @@ class JournaledStore(StoreLayer):
                     self._store.free(e[2])
                 except StorageError:
                     pass
-                outcome = "undo" if outcome == "clean" else outcome
         self._checkpoint()
-        counter("recoveries", layer="journal", outcome=outcome).inc()
         meta_records = self._store.read(self._meta_bid).records
         if not meta_records or meta_records[0][0] != "META":
             raise RecoveryError("superblock unreadable after replay")
@@ -192,7 +187,6 @@ class JournaledStore(StoreLayer):
         self._append_journal(records)
         # ---- the C record is durable: point of no return ----
         self._txn = None
-        counter("txns", layer="journal", outcome="committed").inc()
         self._apply(records, tolerant=False)
         self._checkpoint()
         return tid
@@ -215,7 +209,6 @@ class JournaledStore(StoreLayer):
             except StorageError:
                 pass
         self._checkpoint()
-        counter("txns", layer="journal", outcome="aborted").inc()
 
     @contextmanager
     def transaction(self, meta=None):
@@ -334,7 +327,6 @@ class JournaledStore(StoreLayer):
             jb = self._store.alloc()
             self._store.write(jb, records[lo:lo + B])
             new_bids.append(jb)
-            counter("journal_blocks", layer="journal").inc()
         self._journal_bids.extend(new_bids)
         self._write_anchor()
 

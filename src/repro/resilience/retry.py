@@ -4,9 +4,8 @@ Transient faults are survivable by construction -- the fault model
 guarantees an immediate retry of a transient error succeeds unless the
 schedule injects another fault.  :class:`RetryPolicy` makes that
 survival *bounded and observable*: at most ``max_attempts`` tries,
-exponentially growing capped delays, and a metrics trail
-(``retries{layer=retry,outcome=...}``) so bench exports show what the
-fault layer cost.
+exponentially growing capped delays, and a count of every attempt made
+(:attr:`RetryPolicy.attempts`) and of the backoff it cost.
 
 Permanent errors raise immediately, and exhausting the attempt budget
 raises :class:`~repro.resilience.errors.RetryExhaustedError` chained to
@@ -26,7 +25,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.io.layer import StoreLayer
-from repro.obs.metrics import counter
 from repro.resilience.errors import RetryExhaustedError, TransientIOError
 
 
@@ -81,14 +79,10 @@ class RetryPolicy:
                 result = fn(*args, **kwargs)
             except TransientIOError as exc:
                 last = exc
-                counter("retries", layer="retry", outcome="retried").inc()
                 if attempt + 1 < self.max_attempts:
                     self._backoff(attempt)
                 continue
-            if attempt > 0:
-                counter("retries", layer="retry", outcome="recovered").inc()
             return result
-        counter("retries", layer="retry", outcome="gave_up").inc()
         raise RetryExhaustedError(
             f"gave up after {self.max_attempts} attempts"
         ) from last

@@ -15,10 +15,9 @@ policy --
 
 Either way :meth:`backpressure` exposes a boolean high-watermark
 signal so cooperative clients can slow down *before* the hard edge.
-Every decision is visible in the metrics registry --
-``admitted`` / ``shed`` counters and the ``admission_queue_depth`` /
-``admission_inflight`` gauges -- and in the structured summary
-:meth:`snapshot` returns for bench export.
+Every decision is counted on the controller (``admitted``, ``sheds``,
+``timed_out``) and summarised, with the current queue depth and
+in-flight count, by :meth:`snapshot`.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Dict, Optional
-
-from repro.obs.metrics import counter, gauge
 
 #: Share of the wait queue that, once filled behind a saturated engine,
 #: raises the :meth:`AdmissionController.backpressure` signal.
@@ -82,13 +79,12 @@ class AdmissionController:
                 # "shed" never waits; "block" waits while the bounded
                 # queue has room and sheds beyond it -- an unbounded
                 # wait line would defeat the point of a bounded queue.
-                self._shed_locked()
+                self.sheds += 1
                 return False
             deadline = (
                 None if max_wait is None else time.monotonic() + max_wait
             )
             self._waiting += 1
-            gauge("admission_queue_depth", layer="serve").set(self._waiting)
             try:
                 while self._inflight >= self.max_inflight:
                     if deadline is None:
@@ -98,30 +94,22 @@ class AdmissionController:
                     if remaining <= 0:
                         # waited past the bound: shed from the queue
                         self.timed_out += 1
-                        self._shed_locked()
+                        self.sheds += 1
                         return False
                     self._cond.wait(remaining)
             finally:
                 self._waiting -= 1
-                gauge("admission_queue_depth", layer="serve").set(self._waiting)
             self._admit_locked()
             return True
-
-    def _shed_locked(self) -> None:
-        self.sheds += 1
-        counter("shed", layer="serve").inc()
 
     def _admit_locked(self) -> None:
         self._inflight += 1
         self.admitted += 1
-        counter("admitted", layer="serve").inc()
-        gauge("admission_inflight", layer="serve").set(self._inflight)
 
     def release(self) -> None:
         """Return one admission slot and wake a waiter."""
         with self._cond:
             self._inflight -= 1
-            gauge("admission_inflight", layer="serve").set(self._inflight)
             self._cond.notify()
 
     # ------------------------------------------------------------------

@@ -34,6 +34,7 @@ queue and a missing slab applied none of its ops.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.faults import FaultSchedule
@@ -211,6 +212,7 @@ class ServingEngine:
         lateness; it finishes at most one shard queue after its
         deadline.
         """
+        t0 = time.perf_counter()
         if not self.admission.acquire(Deadline.remaining_of(deadline)):
             if deadline is None:
                 raise EngineOverloaded(
@@ -218,9 +220,11 @@ class ServingEngine:
                     f"(policy={self.admission.policy!r})"
                 )
             # shed while waiting: nothing was served, report it as a
-            # degraded (empty) result rather than an exception
+            # degraded (empty) result rather than an exception, timed
+            # by the wait it spent in the admission queue
             return PartialResult.nothing_served(
-                ops, self.executor.route(ops), wall_s=0.0,
+                ops, self.executor.route(ops),
+                wall_s=time.perf_counter() - t0,
                 deadline_expired=deadline.expired,
             )
         try:
@@ -339,7 +343,8 @@ class ServingEngine:
             "live_replicas": sum(rs["live"] for rs in per_shard),
         }
         for key in ("failovers", "rebuilds", "rebuild_failures",
-                    "read_fallbacks", "breaker_opened", "crc_mismatches"):
+                    "read_fallbacks", "write_aborts", "block_repairs",
+                    "writes_rejected", "breaker_opened", "crc_mismatches"):
             replication[key] = sum(rs[key] for rs in per_shard)
         return {
             "count": self.count,

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import counter
 from repro.serve.deadline import Deadline
 from repro.serve.shards import Shard, SlabRouter
 
@@ -62,7 +61,9 @@ class BatchResult:
 
     ``results[i]`` corresponds to ``ops[i]``: ``None`` for inserts, a
     bool for deletes (was the point present), a sorted point list for
-    queries.
+    queries.  ``wall_s`` is the executor's time for the batch, from
+    routing to merge; a batch the engine's admission control shed after
+    it waited in the queue reports that wait instead.
     """
 
     results: List[object]
@@ -221,12 +222,6 @@ class BatchExecutor:
         finally:
             release()
 
-    @staticmethod
-    def _count_batch(counts: Dict[str, int]) -> None:
-        counter("batches", layer="serve").inc()
-        for kind, n in counts.items():
-            counter("batch_ops", layer="serve", kind=kind).inc(n)
-
     # ------------------------------------------------------------------
     def execute(
         self, ops: Sequence[Op], *, deadline: Optional[Deadline] = None
@@ -245,16 +240,12 @@ class BatchExecutor:
         t0 = time.perf_counter()
         queues = self.route(ops)
         counts = count_kinds(ops)
-        if deadline is not None:
-            # a budgeted batch counts even if it expires or fails
-            self._count_batch(counts)
-            if deadline.expired:
-                # budget was gone before fan-out: nothing is served
-                counter("deadline_expired", layer="serve").inc()
-                return PartialResult.nothing_served(
-                    ops, queues, wall_s=time.perf_counter() - t0,
-                    deadline_expired=True,
-                )
+        if deadline is not None and deadline.expired:
+            # budget was gone before fan-out: nothing is served
+            return PartialResult.nothing_served(
+                ops, queues, wall_s=time.perf_counter() - t0,
+                deadline_expired=True,
+            )
         shards_by_id = {sh.shard_id: sh for sh in self._router}
         futures = [
             (sid, self._pool.submit(
@@ -291,10 +282,7 @@ class BatchExecutor:
             results[idx] = merge_slabs(parts)
         wall = time.perf_counter() - t0
         if deadline is None:
-            self._count_batch(counts)
             return BatchResult(results, wall, len(ops), len(queues), counts)
-        if missing:
-            counter("deadline_expired", layer="serve").inc()
         return PartialResult(
             results, wall, len(ops), len(queues), counts,
             complete=not missing,

@@ -34,9 +34,10 @@ Fault determinism is preserved per replica: each replica's
 but draws from its own ``stream``, so the whole chaos run -- faults,
 failovers, rebuilds, repairs -- is a pure function of the seed.
 
-Everything is observable: ``failovers``, ``read_fallbacks``,
-``replica_rebuilds`` counters and ``breaker_state`` gauges land in the
-metrics registry and ride the repro-bench export.
+Every recovery path is counted once, on the object that ran it:
+:meth:`ReplicaSet.stats` reports failovers, read fallbacks, rebuilds,
+aborted write attempts, block repairs and rejected writes, together
+with each replica's breaker state and checksum mismatches.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from typing import Any, Callable, List, Optional
 from repro.io.blockstore import BlockStore, StorageError
 from repro.io.bufferpool import BufferPool
 from repro.io.checksum import ChecksummedStore, CorruptBlockError
-from repro.obs.metrics import counter, gauge
 from repro.resilience.errors import FaultInjectionError
 from repro.resilience.faulty_store import FaultyStore
 from repro.resilience.retry import RetryingStore, RetryPolicy
@@ -90,33 +90,18 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    _STATE_INT = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        probe_after: int = 8,
-        labels: Optional[dict] = None,
-    ):
+    def __init__(self, failure_threshold: int = 3, probe_after: int = 8):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
         if probe_after < 1:
             raise ValueError("probe_after must be >= 1")
         self.failure_threshold = failure_threshold
         self.probe_after = probe_after
-        self._labels = dict(labels or {})
         self._lock = threading.Lock()
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.times_opened = 0
         self._refused = 0
-
-    def _transition(self, state: str) -> None:
-        self.state = state
-        if self._labels:
-            gauge("breaker_state", layer="serve", **self._labels).set(
-                self._STATE_INT[state]
-            )
 
     def allow(self) -> bool:
         """May an operation flow through right now?"""
@@ -124,7 +109,7 @@ class CircuitBreaker:
             if self.state == self.OPEN:
                 self._refused += 1
                 if self._refused >= self.probe_after:
-                    self._transition(self.HALF_OPEN)
+                    self.state = self.HALF_OPEN
                     return True
                 return False
             return True
@@ -134,7 +119,7 @@ class CircuitBreaker:
         with self._lock:
             self.consecutive_failures = 0
             if self.state != self.CLOSED:
-                self._transition(self.CLOSED)
+                self.state = self.CLOSED
 
     def record_failure(self) -> None:
         """An operation through this replica failed."""
@@ -147,10 +132,7 @@ class CircuitBreaker:
             if tripped and self.state != self.OPEN:
                 self._refused = 0
                 self.times_opened += 1
-                counter(
-                    "breaker_opened", layer="serve", **self._labels
-                ).inc()
-                self._transition(self.OPEN)
+                self.state = self.OPEN
 
     def __repr__(self) -> str:
         return (
@@ -182,14 +164,7 @@ class Replica:
     (built or attached by the owning :class:`ReplicaSet`) lives on top.
     """
 
-    def __init__(
-        self,
-        replica_id: int,
-        spec: ReplicaSpec,
-        fault_schedule=None,
-        *,
-        labels: Optional[dict] = None,
-    ):
+    def __init__(self, replica_id: int, spec: ReplicaSpec, fault_schedule=None):
         self.replica_id = replica_id
         self.spec = spec
         self.schedule = fault_schedule
@@ -222,7 +197,7 @@ class Replica:
             )
         self.store = store
         self.structure: Any = None
-        self.breaker = CircuitBreaker(labels=labels)
+        self.breaker = CircuitBreaker()
         self.alive = True
         self.failed_reason: Optional[str] = None
 
@@ -297,6 +272,9 @@ class ReplicaSet:
         self.rebuilds = 0
         self.rebuild_failures = 0
         self.read_fallbacks = 0
+        self.write_aborts = 0      # replica attempts rolled back
+        self.block_repairs = 0     # rotten blocks rewritten from a peer
+        self.writes_rejected = 0   # writes every replica failed
 
     # ------------------------------------------------------------------
     @property
@@ -358,7 +336,7 @@ class ReplicaSet:
                 result = out
                 acked = True
         if not acked:
-            counter("writes_rejected", layer="serve").inc()
+            self.writes_rejected += 1
             raise ReplicaSetExhausted(
                 f"shard {self.shard_id}: all {self.factor} replicas "
                 f"failed the write (all rolled back, none applied)"
@@ -367,7 +345,6 @@ class ReplicaSet:
             if r.alive:
                 r.fail(f"diverged: peer acked an op this replica failed")
             self.failovers += 1
-            counter("failovers", layer="serve").inc()
         self.rebuild_dead()
         return result
 
@@ -474,7 +451,7 @@ class ReplicaSet:
         if r.pool is not None:
             r.pool.discard_all()
         r.snapstore.rollback_epoch(epoch)
-        counter("write_aborts", layer="serve").inc()
+        self.write_aborts += 1
         try:
             r.structure = self._attach(r.store, meta)
         except FAILOVER_ERRORS:
@@ -512,7 +489,7 @@ class ReplicaSet:
             # the bid is not live on this replica (freed here): the
             # mirror diverged at this block, nothing to repair in place
             return False
-        counter("block_repairs", layer="serve").inc()
+        self.block_repairs += 1
         return True
 
     # ------------------------------------------------------------------
@@ -547,7 +524,6 @@ class ReplicaSet:
                     last_exc = exc
                     r.breaker.record_failure()
                     self.read_fallbacks += 1
-                    counter("read_fallbacks", layer="serve").inc()
                     # each retry needs the failure healed first -- a fresh
                     # fault may strike the retry, but draws advance, so a
                     # healable replica converges within the bound
@@ -592,7 +568,6 @@ class ReplicaSet:
         if r.alive:
             r.fail(reason)
             self.failovers += 1
-            counter("failovers", layer="serve").inc()
 
     def rebuild_dead(self) -> int:
         """Clone every dead replica from a healthy peer (writer lock held).
@@ -615,11 +590,9 @@ class ReplicaSet:
                 self.replicas[i] = self._clone_from(source, r)
             except (StorageError, FaultInjectionError):
                 self.rebuild_failures += 1
-                counter("rebuild_failures", layer="serve").inc()
                 continue
             rebuilt += 1
             self.rebuilds += 1
-            counter("replica_rebuilds", layer="serve").inc()
         return rebuilt
 
     def _clone_from(self, source: Replica, dead: Replica) -> Replica:
@@ -649,13 +622,7 @@ class ReplicaSet:
         try:
             reader = source.snapstore.reader(epoch)
             fresh = Replica(
-                dead.replica_id,
-                dead.spec,
-                fault_schedule=dead.schedule,
-                labels={
-                    "shard": str(self.shard_id),
-                    "replica": str(dead.replica_id),
-                },
+                dead.replica_id, dead.spec, fault_schedule=dead.schedule
             )
             for bid in sorted(source.base_store.block_ids()):
                 try:
@@ -671,7 +638,7 @@ class ReplicaSet:
                         payload = source.checksummed.peek(bid)
                     else:
                         source.rewrite(bid, payload)
-                        counter("block_repairs", layer="serve").inc()
+                        self.block_repairs += 1
                 fresh.checksummed.place(bid, payload, crc=crc)
             fresh.base_store.reserve_ids(source.base_store.next_bid)
             fresh.structure = self._attach(fresh.store, meta)
@@ -689,6 +656,9 @@ class ReplicaSet:
             "rebuilds": self.rebuilds,
             "rebuild_failures": self.rebuild_failures,
             "read_fallbacks": self.read_fallbacks,
+            "write_aborts": self.write_aborts,
+            "block_repairs": self.block_repairs,
+            "writes_rejected": self.writes_rejected,
             "breaker_states": [r.breaker.state for r in self.replicas],
             "breaker_opened": sum(
                 r.breaker.times_opened for r in self.replicas

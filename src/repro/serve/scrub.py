@@ -15,10 +15,11 @@ busy shard is skipped rather than stalled) and flushes buffer pools
 first -- a dirty frame means the disk block is *legitimately* stale,
 and flushing reconciles disk with the CRC table before verification.
 
-Counters (``scrub_cycles``, ``scrub_blocks``, ``scrub_repairs``,
-``scrub_unrepaired`` under ``layer=serve``) ride the metrics registry
-into the repro-bench export.  :meth:`Scrubber.scrub_once` is fully
-deterministic; :meth:`Scrubber.start` runs it on a daemon thread for
+The scrubber keeps cumulative totals (``cycles``, ``blocks_checked``,
+``repairs``, ``unrepaired``, ``shards_skipped``) on itself; each
+repair also counts in its replica set's ``block_repairs``.
+:meth:`Scrubber.scrub_once` is fully deterministic;
+:meth:`Scrubber.start` runs it on a daemon thread for
 live deployments.
 """
 
@@ -28,7 +29,6 @@ import threading
 from typing import Optional
 
 from repro.io.blockstore import StorageError
-from repro.obs.metrics import counter
 from repro.resilience.errors import FaultInjectionError
 
 
@@ -51,7 +51,7 @@ class Scrubber:
 
         ``lock_timeout`` bounds the wait for each shard's writer lock
         (``None`` waits forever).  Returns a summary dict; cumulative
-        totals live on the scrubber and in the metrics registry.
+        totals live on the scrubber.
         """
         checked = repaired = unrepaired = skipped = 0
         for shard in self._shards:
@@ -70,8 +70,6 @@ class Scrubber:
         self.repairs += repaired
         self.unrepaired += unrepaired
         self.shards_skipped += skipped
-        counter("scrub_cycles", layer="serve").inc()
-        counter("scrub_blocks", layer="serve").inc(checked)
         return {
             "blocks_checked": checked,
             "repairs": repaired,
@@ -108,10 +106,8 @@ class Scrubber:
                     continue
                 if rs.repair_block(r, bid):
                     repaired += 1
-                    counter("scrub_repairs", layer="serve").inc()
                 else:
                     unrepaired += 1
-                    counter("scrub_unrepaired", layer="serve").inc()
         return checked, repaired, unrepaired
 
     # ------------------------------------------------------------------

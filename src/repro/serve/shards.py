@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.external_pst import ExternalPrioritySearchTree
 from repro.core.log_method import LogMethodThreeSidedIndex
-from repro.obs.metrics import counter
 from repro.serve.locks import ReadWriteLock
 from repro.serve.replication import Replica, ReplicaSet, ReplicaSpec
 from repro.serve.snapshots import ShardSnapshot
@@ -104,12 +103,7 @@ class Shard:
         self._attach = build.attach
         replicas = []
         for j in range(replication_factor):
-            r = Replica(
-                j,
-                spec,
-                fault_schedule=schedules[j],
-                labels={"shard": str(shard_id), "replica": str(j)},
-            )
+            r = Replica(j, spec, fault_schedule=schedules[j])
             # provision below the chaos: the bulk load runs with fault
             # injection disarmed (no schedule draws), so every replica is
             # born healthy and the hostile environment tests serving only
@@ -163,7 +157,6 @@ class Shard:
             return False
         self.replica_set.apply_write(lambda s: s.insert(x, y))
         self._ylist.insert(i, (y, x))
-        counter("shard_ops", layer="serve", kind="ins").inc()
         return True
 
     def delete(self, p: Point) -> bool:
@@ -174,12 +167,10 @@ class Shard:
             i = bisect.bisect_left(self._ylist, (y, x))
             if i < len(self._ylist) and self._ylist[i] == (y, x):
                 self._ylist.pop(i)
-        counter("shard_ops", layer="serve", kind="del").inc()
         return ok
 
     def query3(self, a: float, b: float, c: float) -> List[Point]:
         """3-sided query, served by the first replica that can answer."""
-        counter("shard_ops", layer="serve", kind="q3").inc()
         return self.replica_set.read_any(lambda s: s.query(a, b, c))
 
     def query4(
@@ -194,7 +185,6 @@ class Shard:
         """4-sided query.  ``spanned=True`` (slab inside ``[a, b]``)
         answers from the in-memory y-directory -- zero disk I/O; the
         boundary shards fall back to a 3-sided probe plus a y filter."""
-        counter("shard_ops", layer="serve", kind="q4").inc()
         if spanned:
             lo = bisect.bisect_left(self._ylist, (c, float("-inf")))
             hi = bisect.bisect_right(self._ylist, (d, float("inf")))
@@ -234,7 +224,6 @@ class Shard:
         primary.flush()
         meta = primary.structure.snapshot_meta()
         epoch = primary.snapstore.open_epoch()
-        counter("snapshots_opened", layer="serve").inc()
         return ShardSnapshot(
             primary.snapstore, epoch, meta, self._attach, self.x_lo, self.x_hi
         )

@@ -23,10 +23,8 @@ persistence machinery from the resilience layer:
   live blocks.
 
 Epochs are cheap to hold (the undo map grows only with blocks the
-writers actually touch) but not free; close them promptly.  All
-activity is visible in the metrics registry: ``snapshot_blocks_kept``
-counts pre-images preserved, ``snapshot_reads{source=undo|live}``
-splits reader traffic by where it was served.
+writers actually touch) but not free; close them promptly.
+:attr:`SnapshotStore.open_epochs` lists the ones held.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 from repro.io.blockstore import Block, StorageError
 from repro.io.checksum import CorruptBlockError
 from repro.io.layer import StoreLayer
-from repro.obs.metrics import counter, gauge
 
 
 class _Epoch:
@@ -98,7 +95,6 @@ class SnapshotStore(StoreLayer):
         """Keep ``records`` as ``bid``'s pre-image in every open epoch
         that has none yet (a repair write passes the verified payload
         when the live bytes are rotten)."""
-        counter("snapshot_blocks_kept", layer="serve").inc()
         with self._lock:
             for ep in self._epochs.values():
                 if bid not in ep.undo and bid not in ep.new:
@@ -140,14 +136,12 @@ class SnapshotStore(StoreLayer):
             eid = self._next_epoch
             self._next_epoch += 1
             self._epochs[eid] = _Epoch(eid, next_bid)
-            gauge("snapshot_epochs_open", layer="serve").set(len(self._epochs))
             return eid
 
     def close_epoch(self, epoch_id: int) -> None:
         """Drop an epoch and its undo map (idempotent)."""
         with self._lock:
             self._epochs.pop(epoch_id, None)
-            gauge("snapshot_epochs_open", layer="serve").set(len(self._epochs))
 
     def rollback_epoch(self, epoch_id: int) -> int:
         """Restore every block the epoch preserved and drop the epoch.
@@ -167,7 +161,6 @@ class SnapshotStore(StoreLayer):
         """
         with self._lock:
             ep = self._epochs.pop(epoch_id, None)
-            gauge("snapshot_epochs_open", layer="serve").set(len(self._epochs))
         if ep is None:
             raise StorageError(f"epoch {epoch_id} is not open")
         for bid in sorted(ep.new):
@@ -186,7 +179,6 @@ class SnapshotStore(StoreLayer):
         phys = self.physical_store
         if hasattr(phys, "rewind_ids"):
             phys.rewind_ids(ep.next_bid)
-        counter("snapshot_rollbacks", layer="serve").inc()
         return restored
 
     @property
@@ -229,10 +221,10 @@ class SnapshotStore(StoreLayer):
 class SnapshotReader(StoreLayer):
     """Read-only storage protocol over one frozen epoch.
 
-    Preserved blocks come from the undo map (counted as
-    ``snapshot_reads{source=undo}`` -- in a real system these reads hit
-    the snapshot area, not the live disk, so they are kept out of the
-    live I/O counters); untouched blocks read through and cost physical
+    Preserved blocks come from the undo map (in a real system these
+    reads hit the snapshot area, not the live disk, so they are kept
+    out of the live I/O counters); untouched blocks read through and
+    cost physical
     I/O like any other read.  Mutations raise :class:`StorageError`.
     """
 
@@ -281,11 +273,7 @@ class SnapshotReader(StoreLayer):
     def read(self, bid: int) -> Block:
         """Read the block as it was when the epoch opened."""
         out = self._frozen(bid, self._store.read)
-        if isinstance(out, Block):
-            counter("snapshot_reads", layer="serve", source="live").inc()
-            return out
-        counter("snapshot_reads", layer="serve", source="undo").inc()
-        return Block(bid, out)
+        return out if isinstance(out, Block) else Block(bid, out)
 
     def peek(self, bid: int):
         """Inspect the frozen block without charging I/O."""

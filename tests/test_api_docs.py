@@ -8,6 +8,8 @@ tier-1.  The generator is loaded by path (``tools/`` is not a package).
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -37,3 +39,13 @@ def test_every_public_module_is_documented():
                  "repro.io.policies", "repro.io.hooks"):
         assert name in names
     assert not [n for n in names if "._" in n]
+
+
+def test_generator_takes_no_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        gen_api_docs.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        gen_api_docs.main(["--no-such-option"])
+    assert exc.value.code == 2

@@ -28,7 +28,7 @@ from repro.obs.export import (
     to_markdown,
     write_bench_json,
 )
-from repro.obs.metrics import MetricsRegistry, format_key
+from repro.obs.metrics import DEFAULT_REGISTRY, MetricsRegistry, format_key
 from repro.obs.spans import SpanRecorder, span
 from repro.workloads import three_sided_queries, uniform_points
 
@@ -153,6 +153,121 @@ class TestMetricsRegistry:
         reg.counter("a").inc()
         reg.clear()
         assert len(reg) == 0
+
+
+class TestLibraryLeavesRegistryEmpty:
+    """Each event is counted once, on the object that owns it: running
+    the structures, the storage chain and the serving tier writes
+    nothing into the process-global registry."""
+
+    CHAOS_RATES = {
+        "corrupt_rate": 0.02,
+        "read_error_rate": 0.02,
+        "write_error_rate": 0.02,
+        "transient_fraction": 0.5,
+    }
+
+    @staticmethod
+    def _churn(eng, rng, n):
+        for _ in range(n):
+            p = (rng.uniform(0, 1000), rng.uniform(0, 1000))
+            a, c = rng.uniform(0, 800), rng.uniform(0, 800)
+            eng.execute([("ins", p), ("q3", (a, a + 200, c)),
+                         ("q4", (a, a + 200, c, c + 200)), ("del", p)])
+
+    def test_no_configuration_writes_the_registry(self):
+        import random
+
+        from repro.core import ExternalRangeTree, FourSidedLayeredIndex
+        from repro.geometry import FourSidedQuery
+        from repro.resilience import (
+            FaultSchedule,
+            FaultyStore,
+            JournaledStore,
+            RetryingStore,
+            RetryPolicy,
+        )
+        from repro.serve import Deadline, ServingEngine
+
+        DEFAULT_REGISTRY.clear()
+        pts = uniform_points(600, seed=5, extent=1000.0)
+        rng = random.Random(11)   # not the points' seed: no duplicates
+
+        # a log engine behind a 2Q pool with readahead and coalescing
+        with ServingEngine(pts, n_shards=2, block_size=16, backend="log",
+                           pool_capacity=12, pool_policy="2q",
+                           readahead_window=2,
+                           coalesce_writes=True) as eng:
+            self._churn(eng, rng, 40)
+            pools = [sh.primary.pool for sh in eng.router.shards]
+            assert sum(p.prefetch_issued for p in pools) > 0
+            assert sum(p.coalesced_writes for p in pools) > 0
+
+        # a replicated PST engine under chaos: kill, scrub, a held
+        # snapshot across writes, a deadline batch
+        with ServingEngine(pts, n_shards=2, block_size=16, backend="pst",
+                           replication_factor=2, fault_seed=902,
+                           fault_rates=dict(self.CHAOS_RATES)) as eng:
+            self._churn(eng, rng, 20)
+            eng.kill_replica(0, 0)
+            with eng.snapshot() as snap:
+                for _ in range(60):
+                    eng.insert(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                assert snap.count == len(pts)
+                assert snap.all_points() == sorted(pts)
+            secondary = eng.router.shards[1].replica_set.replicas[1]
+            secondary.flush()
+            rot = next(b for b in sorted(secondary.checksummed.block_ids())
+                       if secondary.checksummed.crc_of(b) is not None)
+            secondary.base_store.scribble(rot, [("bitrot", rot)])
+            assert eng.scrub()["repairs"] == 1
+            res = eng.execute([("q3", (0, 1000, 0))],
+                              deadline=Deadline.after(60.0))
+            assert res.complete
+            assert eng.execute([("q3", (0, 1000, 0))],
+                               deadline=Deadline.after(0.0)).deadline_expired
+            assert eng.admission.acquire()   # hold every slot
+            try:
+                for _ in range(eng.admission.max_inflight - 1):
+                    assert eng.admission.acquire()
+                shed = eng.execute([("q3", (0, 1000, 0))],
+                                   deadline=Deadline.after(0.01))
+            finally:
+                for _ in range(eng.admission.max_inflight):
+                    eng.admission.release()
+            assert shed.served_slabs == []
+            repl = eng.stats()["replication"]
+            assert repl["failovers"] >= 1 and repl["rebuilds"] >= 1
+
+        # the static structures
+        rt = ExternalRangeTree(BlockStore(16), pts[:300])
+        for p in pts[300:400]:
+            rt.insert(*p)
+        assert rt.query(0, 500, 0, 500)
+        fs = FourSidedLayeredIndex(pts, 16)
+        assert fs.query(FourSidedQuery(100, 900, 100, 900))[0]
+
+        # a journal transaction plus recovery, and a retried read
+        faulty = FaultyStore(BlockStore(16), FaultSchedule(0))
+        js = JournaledStore(faulty, log_allocs=True)
+        with js.transaction({"n": 1}):
+            js.write(js.alloc(), [1])
+        with pytest.raises(RuntimeError):
+            with js.transaction({"n": 2}):
+                js.write(js.alloc(), [2])
+                raise RuntimeError("aborted")
+        assert JournaledStore.attach(faulty, js.anchor_bids).recover() == {
+            "n": 1
+        }
+        schedule = FaultSchedule(0, read_error_rate=1.0, max_faults=2)
+        policy = RetryPolicy(4)
+        retrying = RetryingStore(FaultyStore(BlockStore(8), schedule), policy)
+        b = retrying.alloc()
+        retrying.write(b, [7])
+        assert retrying.read(b).records == (7,)
+        assert len(schedule.events) == 2
+
+        assert len(DEFAULT_REGISTRY) == 0, DEFAULT_REGISTRY.snapshot()
 
 
 # ----------------------------------------------------------------------

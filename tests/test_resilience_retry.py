@@ -3,7 +3,6 @@
 import pytest
 
 from repro.io import BlockStore
-from repro.obs.metrics import counter
 from repro.resilience import (
     FaultSchedule,
     FaultyStore,
@@ -64,14 +63,13 @@ class TestPolicy:
         assert slept == [0.5, 1.0]
 
     def test_metrics_outcomes(self):
-        rec = counter("retries", layer="retry", outcome="recovered")
-        gave = counter("retries", layer="retry", outcome="gave_up")
-        r0, g0 = rec.value, gave.value
-        RetryPolicy(4).call(flaky(1))
-        assert rec.value == r0 + 1
+        recovered = RetryPolicy(4)
+        assert recovered.call(flaky(1)) == "ok"
+        assert recovered.attempts == 2
+        exhausted = RetryPolicy(2)
         with pytest.raises(RetryExhaustedError):
-            RetryPolicy(2).call(flaky(99))
-        assert gave.value == g0 + 1
+            exhausted.call(flaky(99))
+        assert exhausted.attempts == 2
 
 
 class TestRetryingStore:

@@ -9,6 +9,7 @@ in place, rolled back, or failed over.
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.serve import (
     ServingEngine,
     Shard,
 )
+from repro.serve.replication import OP_RETRY_BOUND
 
 CHAOS_RATES = {
     "corrupt_rate": 0.02,
@@ -187,6 +189,11 @@ class TestReplicaSet:
         with pytest.raises(ReplicaSetExhausted):
             sh.replica_set.apply_write(doomed)
         assert (123.0, 456.0) not in sh.query4(0, 1000, 0, 1000)
+        st = sh.replica_set.stats()
+        # each replica rolled back every one of its bounded attempts
+        assert st["writes_rejected"] == 1
+        assert st["write_aborts"] == 2 * OP_RETRY_BOUND
+        assert st["block_repairs"] == 0
 
     def test_kill_and_rebuild_restores_mirror(self, rng):
         sh = make_shard(make_points(rng, 100), factor=2)
@@ -305,6 +312,7 @@ class TestRotPaths:
         r0.base_store.scribble(bid, ["rot"])
         out = Scrubber([sh]).scrub_once()
         assert (out["repairs"], out["unrepaired"]) == (1, 0)
+        assert sh.replica_set.block_repairs == 1
         assert r0.base_store.peek(bid) == good == r1.base_store.peek(bid)
         assert disk_matches_crcs(r0)
         assert read_is_a_miss(r0, bid)
@@ -323,6 +331,11 @@ class TestRotPaths:
         rs = sh.replica_set
         kinds = [e.kind for r in rs.replicas for e in r.schedule.events]
         assert "corrupt-block" in kinds
+        # every abort answers one scribble, and the rollback itself
+        # cures write-rot: no peer copy is needed, no write is lost
+        st = rs.stats()
+        assert 0 < st["write_aborts"] <= kinds.count("corrupt-block")
+        assert (st["block_repairs"], st["writes_rejected"]) == (0, 0)
         assert len(rs.live) == 2
         for r in rs.replicas:
             r.flush()
@@ -349,6 +362,7 @@ class TestRotPaths:
         # the dead copy was good: clone and donor both get it
         assert fresh.base_store.peek(salvaged) == good
         assert r1.base_store.peek(salvaged) == good
+        assert rs.block_repairs == 1   # the donor, repaired in place
         assert read_is_a_miss(r1, salvaged)
         # no good copy anywhere: the clone keeps the donor's CRC, so the
         # inherited rot stays detectable
@@ -380,6 +394,34 @@ class TestRotPaths:
         assert replica_image(r0) == replica_image(r1)
         for r in rs.replicas:
             assert (1.0, 1.0) not in r.structure.query(0, 1000, 0)
+        st = rs.stats()
+        assert st["writes_rejected"] == 1
+        assert st["write_aborts"] == 2 * OP_RETRY_BOUND
+        assert st["block_repairs"] == 1   # r0's rotten pre-image
+
+    def test_engine_stats_sum_the_recovery_counts(self, rng):
+        """``ServingEngine.stats()["replication"]`` sums each shard's
+        aborted attempts, block repairs and rejected writes."""
+        eng = ServingEngine(make_points(rng, 300), n_shards=2,
+                            block_size=16, backend="log",
+                            replication_factor=2, pool_capacity=8)
+        for sh in eng.router.shards:
+            r0 = sh.replica_set.replicas[0]
+            r0.base_store.scribble(r0.structure._buffer_bid, ["rot"])
+
+        def doomed(structure):
+            structure.insert(1.0, 1.0)
+            raise TransientIOError("fails after the insert")
+
+        for sh in eng.router.shards:
+            with pytest.raises(ReplicaSetExhausted):
+                sh.replica_set.apply_write(doomed)
+        st = eng.stats()
+        for key in ("write_aborts", "block_repairs", "writes_rejected"):
+            per_shard = [s["replication"][key] for s in st["shards"]]
+            assert all(n > 0 for n in per_shard), key
+            assert st["replication"][key] == sum(per_shard), key
+        eng.close()
 
 
 # ----------------------------------------------------------------------
@@ -572,6 +614,29 @@ class TestAdmissionShedding:
         assert st["admission"]["shed_timed_out"] == 1
         assert st["shed_rate"] == pytest.approx(1 / 3)
         assert (1.0, 1.0) not in eng.all_points()
+        eng.close()
+
+    def test_shed_batch_reports_its_admission_wait(self, rng):
+        """A batch shed after waiting out its deadline in the admission
+        queue took that long: ``wall_s`` reports the wait."""
+        eng = ServingEngine(make_points(rng, 60), n_shards=2,
+                            block_size=16, backend="log", max_inflight=1)
+        assert eng.admission.acquire()  # hold the only slot
+        try:
+            t0 = time.perf_counter()
+            out = eng.execute([("q3", (0, 1000, 0))],
+                              deadline=Deadline.after(0.1))
+            waited = time.perf_counter() - t0
+        finally:
+            eng.admission.release()
+        assert isinstance(out, PartialResult) and out.served_slabs == []
+        # the deadline was set just before the clock started, so the
+        # wait may come in a hair under its 0.1 s budget
+        assert 0.09 <= out.wall_s <= waited
+        # an admitted batch reports the executor's time
+        done = eng.execute([("q3", (0, 1000, 0))],
+                           deadline=Deadline.after(60.0))
+        assert done.complete and done.wall_s > 0.0
         eng.close()
 
 
