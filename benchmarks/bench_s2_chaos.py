@@ -71,8 +71,7 @@ def _inject_rot(eng):
 
     This models media decay between writes: the bytes flip on disk with
     no fault-schedule draw, no failed op, nothing for the transactional
-    write path to catch.  Only the background scrubber's CRC walk can
-    find it.  The secondary is chosen because reads prefer the primary,
+    write path to catch.  Only the scrubber's CRC walk can find it.  The secondary is chosen because reads prefer the primary,
     so the rot stays latent until the scrub cycle that follows.
     """
     r = eng.router.shards[1].replica_set.replicas[1]
@@ -88,10 +87,10 @@ def _inject_rot(eng):
 
 
 def _replay(base, trace, *, factor, chaos, kill=False):
-    """Run the trace in fixed batches; returns (answers, final, stats)."""
+    """Run the trace in fixed batches; returns (answers, final, stats,
+    blocks rotted)."""
     eng = _engine(base, factor, chaos)
     answers = []
-    rejected = 0
     rotted = 0
     batches = [trace[i:i + BATCH] for i in range(0, len(trace), BATCH)]
     for bi, batch in enumerate(batches):
@@ -110,7 +109,7 @@ def _replay(base, trace, *, factor, chaos, kill=False):
     final = eng.execute([("q4", (0.0, EXTENT, 0.0, EXTENT))]).results[0]
     stats = eng.stats()
     eng.close()
-    return answers, final, stats, rejected, rotted
+    return answers, final, stats, rotted
 
 
 def _oracle_final(trace, base):
@@ -132,10 +131,10 @@ def _run():
     )
 
     # -- fault-free references ------------------------------------------
-    o_answers, o_final, o_stats, _, _ = _replay(
+    o_answers, o_final, o_stats, _ = _replay(
         base, trace, factor=1, chaos=False
     )
-    r_answers, r_final, r_stats, _, _ = _replay(
+    r_answers, r_final, r_stats, _ = _replay(
         base, trace, factor=FACTOR, chaos=False
     )
     assert r_answers == o_answers  # replication alone changes nothing
@@ -144,10 +143,10 @@ def _run():
     )
 
     # -- the chaos run (and its determinism double) ---------------------
-    c_answers, c_final, c_stats, c_rej, c_rot = _replay(
+    c_answers, c_final, c_stats, c_rot = _replay(
         base, trace, factor=FACTOR, chaos=True, kill=True
     )
-    d_answers, d_final, d_stats, _, _ = _replay(
+    d_answers, d_final, d_stats, _ = _replay(
         base, trace, factor=FACTOR, chaos=True, kill=True
     )
 
@@ -188,7 +187,7 @@ def _run():
     gate = {
         "wrong_answers": wrong,
         "lost_acked_writes": lost,
-        "write_rejections": c_rej,
+        "write_rejections": repl["writes_rejected"],
         "scrub_unrepaired": scrub["unrepaired"],
         "rot_injected": c_rot,
         "rot_missed_by_scrub": max(0, c_rot - scrub["repairs"]),

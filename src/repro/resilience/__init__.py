@@ -7,8 +7,8 @@ touching the structures' logic:
 - :class:`FaultSchedule` / :class:`FaultyStore` -- deterministic,
   seed-scheduled injection of read/write errors, torn writes and
   crashes, with a byte-reproducible fault log.
-- :class:`RetryPolicy` / :class:`RetryingStore` -- bounded exponential
-  backoff over transient faults; permanent faults fail fast.
+- :class:`RetryingStore` -- bounded immediate retry of transient
+  faults; permanent faults fail fast.
 - :class:`JournaledStore` -- write-ahead-journal transactions making
   multi-block updates atomic, with :meth:`JournaledStore.recover`
   restoring the last committed state after any crash.
@@ -33,7 +33,7 @@ from repro.resilience.errors import (
 from repro.resilience.faults import FaultEvent, FaultSchedule
 from repro.resilience.faulty_store import FaultyStore
 from repro.resilience.journal import JournaledStore
-from repro.resilience.retry import RetryingStore, RetryPolicy
+from repro.resilience.retry import RetryingStore
 from repro.resilience.verifier import (
     RecoveryReport,
     StructureAdapter,
@@ -51,7 +51,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "FaultyStore",
-    "RetryPolicy",
     "RetryingStore",
     "JournaledStore",
     "StructureAdapter",

@@ -9,12 +9,12 @@ operation batches across shards under single-writer / multi-reader
 locks and merges results deterministically
 (:mod:`~repro.serve.executor`), copy-on-write snapshot epochs for
 stable long reads (:mod:`~repro.serve.snapshots`), admission control
-with load shedding and backpressure (:mod:`~repro.serve.admission`),
+with load shedding (:mod:`~repro.serve.admission`),
 deadlines that bound a batch's waits and report unserved x-slabs --
 each shard queue runs whole or not at all, so a batch is late by at
 most one queue (:mod:`~repro.serve.deadline`) -- and a
-background scrubber that repairs silent corruption from healthy
-replicas (:mod:`~repro.serve.scrub`).  :class:`ServingEngine` is the
+scrub pass that repairs silent corruption from healthy replicas
+(:mod:`~repro.serve.scrub`).  :class:`ServingEngine` is the
 facade wiring them together.
 
 See ``docs/SERVING.md`` for the architecture walk-through and

@@ -1,4 +1,4 @@
-"""Admission control: bounded queue, load shedding, backpressure.
+"""Admission control: bounded queue and load shedding.
 
 The serving tier refuses to melt down: at most ``max_inflight``
 batches execute at once, and past that the controller applies its
@@ -13,8 +13,6 @@ policy --
   (latency is preserved, work is shed) -- the engine surfaces the
   rejection as :class:`EngineOverloaded`.
 
-Either way :meth:`backpressure` exposes a boolean high-watermark
-signal so cooperative clients can slow down *before* the hard edge.
 Every decision is counted on the controller (``admitted``, ``sheds``,
 ``timed_out``) and summarised, with the current queue depth and
 in-flight count, by :meth:`snapshot`.
@@ -25,10 +23,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Dict, Optional
-
-#: Share of the wait queue that, once filled behind a saturated engine,
-#: raises the :meth:`AdmissionController.backpressure` signal.
-HIGH_WATERMARK = 0.5
 
 
 class EngineOverloaded(RuntimeError):
@@ -54,7 +48,6 @@ class AdmissionController:
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.policy = policy
-        self._hwm = max(1, int(max_queue * HIGH_WATERMARK)) if max_queue else 1
         self._cond = threading.Condition()
         self._inflight = 0
         self._waiting = 0
@@ -113,26 +106,6 @@ class AdmissionController:
             self._cond.notify()
 
     # ------------------------------------------------------------------
-    def backpressure(self) -> bool:
-        """High-watermark signal: the queue is filling, slow down."""
-        with self._cond:
-            return (
-                self._inflight >= self.max_inflight
-                and self._waiting >= self._hwm
-            )
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently admitted and executing."""
-        with self._cond:
-            return self._inflight
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting for admission."""
-        with self._cond:
-            return self._waiting
-
     def snapshot(self) -> Dict[str, object]:
         """Structured summary for ``stats()`` and bench export."""
         with self._cond:

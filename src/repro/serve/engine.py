@@ -38,7 +38,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.resilience.faults import FaultSchedule
-from repro.resilience.retry import RetryPolicy
 from repro.serve.admission import AdmissionController, EngineOverloaded
 from repro.serve.deadline import Deadline
 from repro.serve.executor import (
@@ -121,7 +120,6 @@ class ServingEngine:
         pool_capacity: int = 0,
         pool_policy: str = "lru",
         readahead_window: int = 0,
-        coalesce_writes: bool = False,
         max_workers: Optional[int] = None,
         io_latency: float = 0.0,
         max_inflight: Optional[int] = None,
@@ -129,7 +127,6 @@ class ServingEngine:
         admission_policy: str = "block",
         fault_seed: Optional[int] = None,
         fault_rates: Optional[dict] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         extent: float = 1000.0,
         replication_factor: int = 1,
     ):
@@ -138,21 +135,17 @@ class ServingEngine:
             raise ValueError("points must be distinct")
         if replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
+        if fault_rates is not None and fault_seed is None:
+            raise ValueError("fault_rates needs a fault_seed")
         boundaries = SlabRouter.quantile_boundaries(
             pts, n_shards, extent=extent
         )
         edges = [float("-inf")] + boundaries + [float("inf")]
-        if retry_policy is None and fault_seed is not None:
-            # injected faults without a retry layer would surface every
-            # transient as a caller-visible error; pair them by default
-            retry_policy = RetryPolicy(max_attempts=4)
         spec = ReplicaSpec(
             block_size,
             pool_capacity=pool_capacity,
             pool_policy=pool_policy,
             readahead_window=readahead_window,
-            coalesce_writes=coalesce_writes,
-            retry_policy=retry_policy,
             io_latency=io_latency,
         )
         shards: List[Shard] = []
@@ -191,7 +184,6 @@ class ServingEngine:
             policy=admission_policy,
         )
         self.scrubber = Scrubber(shards)
-        self._closed = False
 
     # ------------------------------------------------------------------
     # batch execution
@@ -294,11 +286,11 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # self-healing surface
     # ------------------------------------------------------------------
-    def scrub(self, *, lock_timeout: Optional[float] = None) -> dict:
+    def scrub(self) -> dict:
         """One scrub pass: verify every replica block, repair rot from
         healthy peers, rebuild dead replicas.  Returns the pass
         summary; cumulative totals live on :attr:`scrubber`."""
-        return self.scrubber.scrub_once(lock_timeout=lock_timeout)
+        return self.scrubber.scrub_once()
 
     def heal(self) -> int:
         """Rebuild every dead replica across all shards; returns how
@@ -370,11 +362,8 @@ class ServingEngine:
         }
 
     def close(self) -> None:
-        """Shut the scrubber and executor pool down (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self.scrubber.stop()
-            self.executor.close()
+        """Shut the executor pool down (idempotent)."""
+        self.executor.close()
 
     def __enter__(self) -> "ServingEngine":
         return self

@@ -52,7 +52,7 @@ from repro.io.bufferpool import BufferPool
 from repro.io.checksum import ChecksummedStore, CorruptBlockError
 from repro.resilience.errors import FaultInjectionError
 from repro.resilience.faulty_store import FaultyStore
-from repro.resilience.retry import RetryingStore, RetryPolicy
+from repro.resilience.retry import RetryingStore
 from repro.serve.snapshots import SnapshotStore
 
 #: Exceptions that retire the current replica attempt and move on to a
@@ -67,6 +67,12 @@ FAILOVER_ERRORS = (FaultInjectionError, CorruptBlockError)
 #: rejects the op cleanly (all replicas rolled back).
 OP_RETRY_BOUND = 64
 
+#: Consecutive failures that trip a replica's :class:`CircuitBreaker`.
+BREAKER_THRESHOLD = 3
+
+#: Refusals an open breaker makes before it lets one probe through.
+BREAKER_PROBE_AFTER = 8
+
 
 class ReplicaSetExhausted(RuntimeError):
     """Every replica of a shard failed the operation."""
@@ -75,10 +81,11 @@ class ReplicaSetExhausted(RuntimeError):
 class CircuitBreaker:
     """Closed / open / half-open breaker driven by consecutive faults.
 
-    - **closed**: operations flow; ``failure_threshold`` *consecutive*
-      failures trip it open.
+    - **closed**: operations flow; :data:`BREAKER_THRESHOLD`
+      *consecutive* failures trip it open.
     - **open**: operations are refused (:meth:`allow` is False); after
-      ``probe_after`` refusals the breaker moves to half-open.
+      :data:`BREAKER_PROBE_AFTER` refusals the breaker moves to
+      half-open.
     - **half-open**: one probe flows; success closes the breaker,
       failure re-opens it (and the refusal count restarts).
 
@@ -90,13 +97,7 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, failure_threshold: int = 3, probe_after: int = 8):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if probe_after < 1:
-            raise ValueError("probe_after must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.probe_after = probe_after
+    def __init__(self):
         self._lock = threading.Lock()
         self.state = self.CLOSED
         self.consecutive_failures = 0
@@ -108,7 +109,7 @@ class CircuitBreaker:
         with self._lock:
             if self.state == self.OPEN:
                 self._refused += 1
-                if self._refused >= self.probe_after:
+                if self._refused >= BREAKER_PROBE_AFTER:
                     self.state = self.HALF_OPEN
                     return True
                 return False
@@ -127,7 +128,7 @@ class CircuitBreaker:
             self.consecutive_failures += 1
             tripped = (
                 self.state == self.HALF_OPEN
-                or self.consecutive_failures >= self.failure_threshold
+                or self.consecutive_failures >= BREAKER_THRESHOLD
             )
             if tripped and self.state != self.OPEN:
                 self._refused = 0
@@ -151,8 +152,6 @@ class ReplicaSpec:
     pool_capacity: int = 0
     pool_policy: str = "lru"
     readahead_window: int = 0
-    coalesce_writes: bool = False
-    retry_policy: Optional[RetryPolicy] = None
     io_latency: float = 0.0
 
 
@@ -162,6 +161,8 @@ class Replica:
     The chain is ``BlockStore -> ChecksummedStore -> SnapshotStore
     [-> FaultyStore -> RetryingStore] [-> BufferPool]``; the structure
     (built or attached by the owning :class:`ReplicaSet`) lives on top.
+    A fault schedule brings its retry layer with it: injected transients
+    are retried in place rather than surfacing as failovers.
     """
 
     def __init__(self, replica_id: int, spec: ReplicaSpec, fault_schedule=None):
@@ -184,8 +185,7 @@ class Replica:
         self.faulty: Optional[FaultyStore] = None
         if fault_schedule is not None:
             store = self.faulty = FaultyStore(store, fault_schedule)
-        if spec.retry_policy is not None:
-            store = RetryingStore(store, spec.retry_policy)
+            store = RetryingStore(store)
         self.pool: Optional[BufferPool] = None
         if spec.pool_capacity > 0:
             store = self.pool = BufferPool(
@@ -193,7 +193,6 @@ class Replica:
                 spec.pool_capacity,
                 policy=spec.pool_policy,
                 readahead_window=spec.readahead_window,
-                coalesce_writes=spec.coalesce_writes,
             )
         self.store = store
         self.structure: Any = None
@@ -358,14 +357,12 @@ class ReplicaSet:
         op is acked, every block the epoch wrote is CRC-swept (no I/O):
         corrupt faults scribble only written blocks, so this catches
         silent write-rot while the undo log can still cure it -- an
-        acked op never leaves latent rot behind.  After a rollback,
-        rot is repaired (the rollback itself cures write-rot; a peer
-        copy covers the rest), latched broken sectors are re-armed,
-        and the op retried -- faults on this replica alone should not
-        force a failover, let alone lose the write.  Flushing before
-        the op makes disk state complete (so the rollback target is
-        well defined); flushing after makes the op durable before it
-        is acked.
+        acked op never leaves latent rot behind.  After a rollback the
+        replica is healed in place (:meth:`_heal`) and the op retried
+        -- faults on this replica alone should not force a failover,
+        let alone lose the write.  Flushing before the op makes disk
+        state complete (so the rollback target is well defined);
+        flushing after makes the op durable before it is acked.
         """
         last_exc: Optional[Exception] = None
         for _ in range(OP_RETRY_BOUND):
@@ -379,14 +376,7 @@ class ReplicaSet:
             except FAILOVER_ERRORS as exc:
                 last_exc = exc
                 self._abort(r, epoch, meta)
-                cured = True
-                if isinstance(exc, CorruptBlockError):
-                    # rollback restores pre-images, which cures write-rot;
-                    # anything still rotten needs a peer copy
-                    cured = r.checksummed.verify(exc.bid) or self.repair_block(
-                        r, exc.bid
-                    )
-                if cured and self.heal_latched(r):
+                if self._heal(r, exc):
                     continue  # replica healthy again: retry the op
                 raise
             except BaseException:
@@ -403,13 +393,39 @@ class ReplicaSet:
         """CRC-sweep the blocks an open epoch wrote (no I/O charged).
 
         Raises :class:`CorruptBlockError` on the first mismatch so the
-        normal abort/repair/retry path handles silent write-rot before
+        normal abort/heal/retry path handles silent write-rot before
         the op is acknowledged.
         """
         for bid in r.snapstore.epoch_writes(epoch):
             # a block freed during the epoch verifies (nothing to serve)
             if not r.checksummed.verify(bid):
                 raise CorruptBlockError(bid, r.checksummed.crc_of(bid))
+
+    def _heal(self, r: Replica, exc: Exception) -> bool:
+        """Best-effort in-place repair after a failed read or an
+        aborted write; True when a retry on the same replica has a
+        chance.
+
+        1. A :class:`CorruptBlockError` whose block still fails
+           verification is repaired from a peer copy.  After a write's
+           rollback the block usually verifies already: restoring the
+           pre-images cures write-rot.
+        2. Latched broken sectors are re-armed (:meth:`heal_latched`).
+        3. A :class:`StorageError` or injected fault while healing
+           means no retry here.
+
+        Every repair writes bytes identical to what healthy readers
+        already see, so it is safe under the shard's reader lock.
+        """
+        try:
+            healed = True
+            if isinstance(exc, CorruptBlockError) and not r.checksummed.verify(
+                exc.bid
+            ):
+                healed = self.repair_block(r, exc.bid)
+            return self.heal_latched(r) and healed
+        except (StorageError, FaultInjectionError):
+            return False
 
     def heal_latched(self, r: Replica) -> bool:
         """Re-arm a replica's latched broken sectors after a rollback.
@@ -501,11 +517,8 @@ class ReplicaSet:
         Caller holds the shard's reader lock.  Replica order is primary
         first; replicas whose breaker is open are skipped (except for
         scheduled half-open probes).  A failed read heals what it can
-        in place -- a latched broken sector or rotten block is repaired
-        from verified bytes (its own post-rollback payload or a peer
-        copy, both content-identical to what concurrent readers expect,
-        so this is safe under the reader lock) and the same replica
-        retried -- then falls over to the next copy.
+        in place (:meth:`_heal`) and retries the same replica, then
+        falls over to the next copy.
         """
         if len(self.replicas) == 1:
             return fn(self.replicas[0].structure)
@@ -527,7 +540,7 @@ class ReplicaSet:
                     # each retry needs the failure healed first -- a fresh
                     # fault may strike the retry, but draws advance, so a
                     # healable replica converges within the bound
-                    if self._heal_for_read(r, exc):
+                    if self._heal(r, exc):
                         continue
                     break  # unhealable here: fall over to the next copy
                 r.breaker.record_success()
@@ -541,23 +554,6 @@ class ReplicaSet:
         raise ReplicaSetExhausted(
             f"shard {self.shard_id}: no replica could serve the read"
         ) from last_exc
-
-    def _heal_for_read(self, r: Replica, exc: Exception) -> bool:
-        """Best-effort in-place repair after a failed read.
-
-        Rot is repaired from a peer copy; latched broken sectors are
-        re-armed from their own (CRC-verified) payload.  Every repair
-        writes bytes identical to what healthy readers already see, so
-        it is safe under the shard's reader lock.  Returns True when a
-        retry on the same replica has a chance.
-        """
-        try:
-            healed = True
-            if isinstance(exc, CorruptBlockError):
-                healed = self.repair_block(r, exc.bid)
-            return self.heal_latched(r) and healed
-        except (StorageError, FaultInjectionError):
-            return False
 
     # ------------------------------------------------------------------
     # failover + online rebuild

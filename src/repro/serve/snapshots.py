@@ -201,12 +201,6 @@ class SnapshotStore(StoreLayer):
                 raise StorageError(f"epoch {epoch_id} is not open")
             return sorted(set(ep.undo) | set(ep.new))
 
-    def undo_blocks(self, epoch_id: int) -> int:
-        """Pre-images held for an epoch (space accounting)."""
-        with self._lock:
-            ep = self._epochs.get(epoch_id)
-            return len(ep.undo) if ep is not None else 0
-
     def reader(self, epoch_id: int) -> "SnapshotReader":
         """A read-only storage view pinned to ``epoch_id``."""
         with self._lock:
@@ -322,11 +316,6 @@ class ShardSnapshot:
         self._reader = snapstore.reader(epoch_id)
         self._structure = attach(self._reader, meta)
         self._closed = False
-
-    @property
-    def anchor(self) -> dict:
-        """The snapshot anchor: epoch id plus re-attachment meta."""
-        return {"epoch": self.epoch_id, "meta": self.meta}
 
     def query3(self, a: float, b: float, c: float) -> List[tuple]:
         """3-sided query against the frozen epoch."""

@@ -185,7 +185,6 @@ class TestLibraryLeavesRegistryEmpty:
             FaultyStore,
             JournaledStore,
             RetryingStore,
-            RetryPolicy,
         )
         from repro.serve import Deadline, ServingEngine
 
@@ -193,15 +192,22 @@ class TestLibraryLeavesRegistryEmpty:
         pts = uniform_points(600, seed=5, extent=1000.0)
         rng = random.Random(11)   # not the points' seed: no duplicates
 
-        # a log engine behind a 2Q pool with readahead and coalescing
+        # a log engine behind a 2Q pool with readahead
         with ServingEngine(pts, n_shards=2, block_size=16, backend="log",
                            pool_capacity=12, pool_policy="2q",
-                           readahead_window=2,
-                           coalesce_writes=True) as eng:
+                           readahead_window=2) as eng:
             self._churn(eng, rng, 40)
             pools = [sh.primary.pool for sh in eng.router.shards]
             assert sum(p.prefetch_issued for p in pools) > 0
-            assert sum(p.coalesced_writes for p in pools) > 0
+
+        # a coalescing pool draining its dirty set on one eviction
+        disk = BlockStore(4)
+        pool = BufferPool(disk, 3, coalesce_writes=True)
+        bids = [disk.alloc() for _ in range(4)]
+        for bid in bids[:3]:
+            pool.write(bid, [bid])
+        pool.read(bids[3])
+        assert pool.coalesced_writes == 2
 
         # a replicated PST engine under chaos: kill, scrub, a held
         # snapshot across writes, a deadline batch
@@ -260,8 +266,7 @@ class TestLibraryLeavesRegistryEmpty:
             "n": 1
         }
         schedule = FaultSchedule(0, read_error_rate=1.0, max_faults=2)
-        policy = RetryPolicy(4)
-        retrying = RetryingStore(FaultyStore(BlockStore(8), schedule), policy)
+        retrying = RetryingStore(FaultyStore(BlockStore(8), schedule), 4)
         b = retrying.alloc()
         retrying.write(b, [7])
         assert retrying.read(b).records == (7,)

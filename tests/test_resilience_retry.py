@@ -1,4 +1,4 @@
-"""RetryPolicy / RetryingStore: backoff, modes, metrics, store recovery."""
+"""RetryingStore: attempt budget, fail-fast modes, store recovery."""
 
 import pytest
 
@@ -9,74 +9,81 @@ from repro.resilience import (
     PermanentIOError,
     RetryExhaustedError,
     RetryingStore,
-    RetryPolicy,
     TransientIOError,
 )
 
 
-def flaky(n_failures, exc=TransientIOError):
-    """A callable that fails ``n_failures`` times, then returns 'ok'."""
-    state = {"left": n_failures}
+class FlakyStore(BlockStore):
+    """A store whose next ``n_failures`` reads raise ``exc``."""
 
-    def fn():
-        if state["left"] > 0:
-            state["left"] -= 1
-            raise exc("injected")
-        return "ok"
+    def __init__(self, n_failures, exc=TransientIOError):
+        super().__init__(8)
+        self.left = n_failures
+        self.exc = exc
 
-    return fn
+    def read(self, bid):
+        if self.left > 0:
+            self.left -= 1
+            raise self.exc("injected")
+        return super().read(bid)
+
+
+def retrying(n_failures, max_attempts, exc=TransientIOError):
+    """A RetryingStore over a FlakyStore holding one block ``[1]``."""
+    raw = FlakyStore(n_failures, exc)
+    raw.write(raw.alloc(), [1])
+    return RetryingStore(raw, max_attempts)
 
 
 class TestPolicy:
+    """The retry policy: an immediate, bounded loop counted in
+    ``attempts``."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            RetryPolicy(0)
-
-    def test_backoff_sequence_capped_exponential(self):
-        p = RetryPolicy(5, base_delay=0.01, max_delay=0.05, multiplier=2.0)
-        assert p.delays() == [0.01, 0.02, 0.04, 0.05]
+            RetryingStore(BlockStore(8), 0)
 
     def test_transient_then_success(self):
-        p = RetryPolicy(4, base_delay=0.01, max_delay=1.0)
-        assert p.call(flaky(2)) == "ok"
-        assert p.attempts == 3
-        # two retries happened: backoff 0.01 + 0.02 simulated seconds
-        assert p.total_backoff == pytest.approx(0.03)
+        store = retrying(2, 4)
+        assert store.read(0).records == (1,)
+        assert store.attempts == 3
 
     def test_exhaustion_raises_chained(self):
-        p = RetryPolicy(3)
+        store = retrying(99, 3)
         with pytest.raises(RetryExhaustedError) as ei:
-            p.call(flaky(99))
+            store.read(0)
         assert isinstance(ei.value.__cause__, TransientIOError)
-        assert p.attempts == 3
+        assert store.attempts == 3
 
     def test_fail_fast_permanent_raises_immediately(self):
-        p = RetryPolicy(5)
+        store = retrying(99, 5, PermanentIOError)
         with pytest.raises(PermanentIOError):
-            p.call(flaky(99, PermanentIOError))
-        assert p.attempts == 1  # no retries on permanent errors
-
-    def test_custom_sleep_called(self):
-        slept = []
-        p = RetryPolicy(3, base_delay=0.5, max_delay=9.9, sleep=slept.append)
-        assert p.call(flaky(2)) == "ok"
-        assert slept == [0.5, 1.0]
+            store.read(0)
+        assert store.attempts == 1  # no retries on permanent errors
 
     def test_metrics_outcomes(self):
-        recovered = RetryPolicy(4)
-        assert recovered.call(flaky(1)) == "ok"
+        recovered = retrying(1, 4)
+        assert recovered.read(0).records == (1,)
         assert recovered.attempts == 2
-        exhausted = RetryPolicy(2)
+        exhausted = retrying(99, 2)
         with pytest.raises(RetryExhaustedError):
-            exhausted.call(flaky(99))
+            exhausted.read(0)
         assert exhausted.attempts == 2
+
+    def test_attempts_accumulate_across_operations(self):
+        store = retrying(1, 4)
+        assert store.read(0).records == (1,)
+        assert store.attempts == 2
+        store.write(0, [2])
+        assert store.read(0).records == (2,)
+        assert store.attempts == 4
 
 
 class TestRetryingStore:
     def test_recovers_transient_faults_transparently(self):
         raw = BlockStore(8)
         schedule = FaultSchedule(0, read_error_rate=1.0, max_faults=3)
-        store = RetryingStore(FaultyStore(raw, schedule), RetryPolicy(5))
+        store = RetryingStore(FaultyStore(raw, schedule), 5)
         b = store.alloc()
         store.write(b, [1, 2])
         # all three budgeted transient read faults burn inside one call
@@ -86,7 +93,7 @@ class TestRetryingStore:
     def test_exhaustion_surfaces(self):
         raw = BlockStore(8)
         schedule = FaultSchedule(0, read_error_rate=1.0)  # unbounded
-        store = RetryingStore(FaultyStore(raw, schedule), RetryPolicy(3))
+        store = RetryingStore(FaultyStore(raw, schedule), 3)
         b = store.alloc()
         raw.write(b, [1])
         with pytest.raises(RetryExhaustedError):
@@ -97,8 +104,7 @@ class TestRetryingStore:
         schedule = FaultSchedule(
             0, read_error_rate=1.0, transient_fraction=0.0, max_faults=1
         )
-        policy = RetryPolicy(3)
-        store = RetryingStore(FaultyStore(raw, schedule), policy)
+        store = RetryingStore(FaultyStore(raw, schedule), 3)
         b = store.alloc()
         raw.write(b, [1])
         with pytest.raises(PermanentIOError):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from tests.conftest import brute_3sided, brute_4sided, make_points
 from repro.io.blockstore import BlockStore, StorageError
-from repro.resilience import RetryPolicy
 from repro.serve import (
     AdmissionController,
     Deadline,
@@ -295,11 +294,16 @@ class TestBatchExecutor:
             pts, n_shards=3, block_size=16, backend="log",
             fault_seed=5,
             fault_rates={"read_error_rate": 0.01, "transient_fraction": 1.0},
-            retry_policy=RetryPolicy(max_attempts=6),
         )
         want, _ = oracle_results(trace, pts)
         assert eng.execute(trace).results == want
         eng.close()
+
+    def test_fault_rates_need_a_fault_seed(self, rng):
+        """Rates without a seed would build fault-free replicas."""
+        with pytest.raises(ValueError, match="fault_seed"):
+            ServingEngine(make_points(rng, 20), n_shards=2, block_size=16,
+                          fault_rates={"corrupt_rate": 1.0})
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +365,7 @@ class TestSnapshots:
         delta = store.stats - before
         assert delta.reads == 1 and delta.writes == 2
         assert store.reader(eid).read(bid).records == (1, 2)
-        assert store.undo_blocks(eid) == 1
+        assert store.epoch_writes(eid) == [bid]
         store.close_epoch(eid)
 
     def test_blocks_born_after_epoch_invisible(self):
@@ -444,10 +448,10 @@ class TestAdmission:
     def test_admits_within_capacity(self):
         adm = AdmissionController(max_inflight=2, max_queue=4)
         assert adm.acquire() and adm.acquire()
-        assert adm.inflight == 2
+        assert adm.snapshot()["inflight"] == 2
         adm.release()
         adm.release()
-        assert adm.inflight == 0
+        assert adm.snapshot()["inflight"] == 0
         assert adm.admitted == 2
 
     def test_shed_policy_rejects_immediately(self):
@@ -466,29 +470,16 @@ class TestAdmission:
         def waiter():
             admitted.append(adm.acquire())
 
-        t = threading.Thread(target=waiter)
+        t = threading.Thread(target=waiter, daemon=True)
         t.start()
-        while adm.queue_depth == 0:  # waiter is queued
-            pass
+        deadline = Deadline.after(5.0)  # fail, not hang, if it never queues
+        while adm.snapshot()["queue_depth"] == 0:
+            assert not deadline.expired, "waiter never queued"
         assert not adm.acquire()  # queue full: overflow is shed
         adm.release()
         t.join(timeout=5)
         assert admitted == [True]
         adm.release()
-
-    def test_backpressure_signal(self):
-        adm = AdmissionController(max_inflight=1, max_queue=2, policy="block")
-        assert not adm.backpressure()
-        assert adm.acquire()
-        t = threading.Thread(target=adm.acquire)
-        t.start()
-        while adm.queue_depth == 0:
-            pass
-        assert adm.backpressure()
-        adm.release()
-        t.join(timeout=5)
-        adm.release()
-        assert not adm.backpressure()
 
     def test_engine_surfaces_shed_as_overloaded(self, rng):
         pts = make_points(rng, 100)
@@ -506,7 +497,8 @@ class TestAdmission:
             except EngineOverloaded:
                 shed.append(1)
 
-        threads = [threading.Thread(target=client) for _ in range(6)]
+        threads = [threading.Thread(target=client, daemon=True)
+                   for _ in range(6)]
         for t in threads:
             t.start()
         for t in threads:

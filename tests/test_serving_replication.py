@@ -29,7 +29,11 @@ from repro.serve import (
     ServingEngine,
     Shard,
 )
-from repro.serve.replication import OP_RETRY_BOUND
+from repro.serve.replication import (
+    BREAKER_PROBE_AFTER,
+    BREAKER_THRESHOLD,
+    OP_RETRY_BOUND,
+)
 
 CHAOS_RATES = {
     "corrupt_rate": 0.02,
@@ -111,12 +115,12 @@ class TestChecksummedStore:
 # ----------------------------------------------------------------------
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures(self):
-        br = CircuitBreaker(failure_threshold=3, probe_after=2)
-        for _ in range(2):
+        br = CircuitBreaker()
+        for _ in range(BREAKER_THRESHOLD - 1):
             br.record_failure()
         assert br.state == CircuitBreaker.CLOSED
         br.record_success()
-        for _ in range(2):
+        for _ in range(BREAKER_THRESHOLD - 1):
             br.record_failure()
         assert br.state == CircuitBreaker.CLOSED  # success reset the count
         br.record_failure()
@@ -124,15 +128,19 @@ class TestCircuitBreaker:
         assert br.times_opened == 1
 
     def test_half_open_probe_closes_or_reopens(self):
-        br = CircuitBreaker(failure_threshold=1, probe_after=2)
-        br.record_failure()
+        br = CircuitBreaker()
+        for _ in range(BREAKER_THRESHOLD):
+            br.record_failure()
         assert br.state == CircuitBreaker.OPEN
-        assert not br.allow()         # refusal 1
-        assert br.allow()             # refusal 2 flips to half-open: probe
+        for _ in range(BREAKER_PROBE_AFTER - 1):
+            assert not br.allow()     # refused while open
+        assert br.allow()             # the last refusal flips to half-open
         assert br.state == CircuitBreaker.HALF_OPEN
-        br.record_failure()
+        br.record_failure()           # a failed probe re-opens at once
         assert br.state == CircuitBreaker.OPEN
-        assert not br.allow()
+        assert br.times_opened == 2
+        for _ in range(BREAKER_PROBE_AFTER - 1):
+            assert not br.allow()
         assert br.allow()             # the next probe
         br.record_success()
         assert br.state == CircuitBreaker.CLOSED
@@ -257,32 +265,9 @@ class TestScrubber:
         Scrubber([sh]).scrub_once()
         assert len(sh.replica_set.live) == 2
 
-    def test_bounded_lock_wait_skips_busy_shard(self, rng):
-        sh = make_shard(make_points(rng, 50), factor=2)
-        scrubber = Scrubber([sh])
-        assert sh.lock.acquire_write(timeout=1.0)
-        try:
-            out = scrubber.scrub_once(lock_timeout=0.01)
-        finally:
-            sh.lock.release_write()
-        assert out["shards_skipped"] == 1
-        assert out["blocks_checked"] == 0
-
-    def test_background_thread_start_stop(self, rng):
-        sh = make_shard(make_points(rng, 50), factor=2)
-        scrubber = Scrubber([sh])
-        scrubber.start(interval=0.01)
-        assert scrubber.running
-        deadline = Deadline.after(5.0)
-        while scrubber.cycles == 0 and not deadline.expired:
-            pass
-        scrubber.stop()
-        assert not scrubber.running
-        assert scrubber.cycles >= 1
-
 
 # ----------------------------------------------------------------------
-# rot paths behind a buffer pool: each must reach the verified-copy
+# rot paths, most behind a buffer pool: each must reach the verified-copy
 # primitive (ChecksummedStore.verified_payload) and the one repair write
 # (Replica.rewrite), which drops the repaired block's pool frame
 # ----------------------------------------------------------------------
@@ -319,6 +304,37 @@ class TestRotPaths:
         assert sorted(sh.query4(0, 1000, 0, 1000)) == brute_4sided(
             set(pts), 0, 1000, 0, 1000
         )
+
+    def test_read_heals_rot_on_the_primary_in_place(self, rng):
+        """A query that trips on a rotten primary block repairs it from
+        the peer and retries on the primary: one fallback, one repair,
+        no failover."""
+        pts = make_points(rng, 150)
+        sh = make_shard(pts)
+        rs = sh.replica_set
+        r0, r1 = rs.replicas
+        read = []
+
+        def watch(op, bid):
+            if op == "read":
+                read.append(bid)
+
+        r0.base_store.add_observer(watch)
+        assert sorted(sh.query4(0, 1000, 0, 1000)) == brute_4sided(
+            set(pts), 0, 1000, 0, 1000
+        )
+        r0.base_store.remove_observer(watch)
+        bid = read[-1]                          # its CRC is known now
+        r0.base_store.scribble(bid, ["rot"])
+        assert sorted(sh.query4(0, 1000, 0, 1000)) == brute_4sided(
+            set(pts), 0, 1000, 0, 1000
+        )
+        st = rs.stats()
+        assert (st["read_fallbacks"], st["block_repairs"]) == (1, 1)
+        assert st["failovers"] == 0 and len(rs.live) == 2
+        assert r0.base_store.peek(bid) == r1.base_store.peek(bid)
+        assert disk_matches_crcs(r0)
+        assert replica_image(r0) == replica_image(r1)
 
     def test_write_rot_is_swept_and_retried_before_ack(self, rng):
         pts = make_points(rng, 80)
@@ -690,8 +706,8 @@ class TestEngineChaos:
 
     def test_pooled_rebuild_keeps_the_replica_chain(self, rng):
         """A replica rebuilt behind a pool gets the same chain as its
-        peer -- pool capacity, policy and readahead, the shared retry
-        policy -- and keeps the dead copy's own fault stream."""
+        peer -- pool capacity, policy and readahead, the retry budget
+        -- and keeps the dead copy's own fault stream."""
         pts = make_points(rng, 400)
         eng = ServingEngine(
             pts, n_shards=2, block_size=16, backend="pst",
@@ -727,7 +743,8 @@ class TestEngineChaos:
             "ChecksummedStore", "BlockStore",
         ]
         assert pool(fresh) == pool(peer) == (24, "2q", 2)
-        assert fresh.pool._store.policy is peer.pool._store.policy
+        assert fresh.pool._store.max_attempts == 4
+        assert peer.pool._store.max_attempts == 4
         assert fresh.faulty.schedule is dead.schedule
         assert fresh.schedule.seed == peer.schedule.seed
         assert (fresh.schedule.stream, peer.schedule.stream) == (0, 1)

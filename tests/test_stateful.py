@@ -23,7 +23,6 @@ from repro.resilience import (
     FaultSchedule,
     FaultyStore,
     JournaledStore,
-    RetryPolicy,
     RetryingStore,
     SimulatedCrash,
 )
@@ -196,8 +195,7 @@ class FaultyPSTMachine(RuleBasedStateMachine):
         self.raw = BlockStore(16)
         self.schedule = FaultSchedule(0)
         self.retrying = RetryingStore(
-            FaultyStore(self.raw, self.schedule),
-            RetryPolicy(max_attempts=8),
+            FaultyStore(self.raw, self.schedule), max_attempts=8
         )
         self.js = JournaledStore(self.retrying)
         self.anchor = self.js.anchor_bids
