@@ -336,7 +336,8 @@ class ServingEngine:
         }
         for key in ("failovers", "rebuilds", "rebuild_failures",
                     "read_fallbacks", "write_aborts", "block_repairs",
-                    "writes_rejected", "breaker_opened", "crc_mismatches"):
+                    "writes_rejected", "breaker_opened", "crc_mismatches",
+                    "pre_image_reads"):
             replication[key] = sum(rs[key] for rs in per_shard)
         return {
             "count": self.count,

@@ -662,6 +662,9 @@ class ReplicaSet:
             "crc_mismatches": sum(
                 r.checksummed.mismatches for r in self.replicas
             ),
+            "pre_image_reads": sum(
+                r.snapstore.pre_image_reads for r in self.replicas
+            ),
         }
 
     def __repr__(self) -> str:

@@ -8,8 +8,12 @@ persistence machinery from the resilience layer:
 - :class:`SnapshotStore` sits directly above a shard's physical
   :class:`~repro.io.BlockStore`.  While at least one epoch is open,
   the first write or free touching a block *preserves its pre-image*
-  (one honest read I/O -- the classic read-before-write price of COW)
-  before letting the operation through.
+  before letting the operation through.  The pre-image is the payload
+  the epoch itself already read, when it read that block (payloads are
+  immutable, so keeping the reference costs nothing -- a buffer
+  manager logs before-images from the frame it already paid for);
+  only a blind write pays one honest read I/O, the classic
+  read-before-write price of COW.
 - Opening an epoch captures the structure's ``snapshot_meta()`` -- the
   same re-attachment state a :class:`~repro.resilience.JournaledStore`
   anchors in its superblock -- so the pair ``(epoch, meta)`` is a
@@ -23,7 +27,9 @@ persistence machinery from the resilience layer:
   live blocks.
 
 Epochs are cheap to hold (the undo map grows only with blocks the
-writers actually touch) but not free; close them promptly.
+writers actually touch, the map of payloads read only with blocks
+read, and neither past the block count) but not free; close them
+promptly.
 :attr:`SnapshotStore.open_epochs` lists the ones held.
 """
 
@@ -40,13 +46,19 @@ from repro.io.layer import StoreLayer
 class _Epoch:
     """Bookkeeping for one open snapshot epoch."""
 
-    __slots__ = ("epoch_id", "undo", "new", "next_bid")
+    __slots__ = ("epoch_id", "undo", "new", "seen", "next_bid")
 
     def __init__(self, epoch_id: int, next_bid: int = 0):
         self.epoch_id = epoch_id
         self.undo: Dict[int, Tuple[Any, ...]] = {}  # bid -> pre-image
         self.new: Set[int] = set()                  # bids born after the epoch
+        self.seen: Dict[int, Tuple[Any, ...]] = {}  # bid -> payload read, unwritten
         self.next_bid = next_bid                    # allocator watermark at open
+
+    def needs(self, bid: int) -> bool:
+        """True while the epoch lacks ``bid``'s pre-image (none kept yet
+        and the block predates the epoch)."""
+        return bid not in self.undo and bid not in self.new
 
 
 class SnapshotStore(StoreLayer):
@@ -55,7 +67,9 @@ class SnapshotStore(StoreLayer):
     Standard storage protocol; with no epoch open every operation is a
     straight pass-through adding zero physical I/O.  Thread-safe for
     the serving tier's discipline (one writer per shard, any number of
-    snapshot readers).
+    snapshot readers).  :attr:`pre_image_reads` counts the reads the
+    layer itself pays for pre-images: only for a block that some epoch
+    needing it has not read since it opened.
     """
 
     def __init__(self, store):
@@ -63,32 +77,63 @@ class SnapshotStore(StoreLayer):
         self._epochs: Dict[int, _Epoch] = {}
         self._next_epoch = 0
         self._lock = threading.Lock()
+        self.pre_image_reads = 0
 
-    # live reads, peeks and flushes pass straight through; defined on the
-    # class so the per-layer tracer (perfbench/tracing.py) finds them in
-    # its __dict__
-    read = StoreLayer.read
+    # live peeks and flushes pass straight through; defined on the class
+    # so the per-layer tracer (perfbench/tracing.py) finds them in its
+    # __dict__
     peek = StoreLayer.peek
     flush = StoreLayer.flush
+
+    def read(self, bid: int) -> Block:
+        """Read through, keeping the payload as a candidate pre-image.
+
+        The payload is recorded only in epochs that were open when the
+        inner read *began* and still need ``bid``'s pre-image when it
+        returns.  An epoch opened mid-read may postdate a write the read
+        did not see (an unlocked snapshot reader's read straddling one
+        op's commit and the next op's open), and its pre-image would be
+        stale.  Epoch ids grow with every open, so the id watermark
+        taken before the read tells the two apart; it is read without
+        the lock because opens never overlap a write (both run under
+        the shard's writer lock), so any epoch it counts was open before
+        every write the read could have missed.
+        """
+        if not self._epochs:
+            return self._store.read(bid)
+        begun = self._next_epoch
+        block = self._store.read(bid)
+        with self._lock:
+            for ep in self._epochs.values():
+                if ep.epoch_id < begun and ep.needs(bid):
+                    ep.seen[bid] = block.records
+        return block
 
     # ------------------------------------------------------------------
     # mutations (pre-image capture)
     # ------------------------------------------------------------------
     def _preserve(self, bid: int) -> None:
         with self._lock:
-            if not any(
-                bid not in ep.undo and bid not in ep.new
-                for ep in self._epochs.values()
-            ):
+            need = [ep for ep in self._epochs.values() if ep.needs(bid)]
+            if not need:
+                return
+            seen = need[0].seen.get(bid)
+            if seen is not None and all(ep.seen.get(bid) is seen for ep in need):
+                # every epoch read the block since it opened, unchanged
+                # since (a write would have preserved it): no I/O
+                for ep in need:
+                    ep.undo[bid] = ep.seen.pop(bid)
                 return
         try:
             records = self._store.read(bid).records
         except CorruptBlockError:
             # a rotten pre-image: the mutation must not land without
             # one, or no rollback could undo it
+            self.pre_image_reads += 1
             raise
         except StorageError:
             return  # unallocated: let the mutation raise its own error
+        self.pre_image_reads += 1
         self.preserve(bid, records)
 
     def preserve(self, bid: int, records: Tuple[Any, ...]) -> None:
@@ -97,8 +142,9 @@ class SnapshotStore(StoreLayer):
         when the live bytes are rotten)."""
         with self._lock:
             for ep in self._epochs.values():
-                if bid not in ep.undo and bid not in ep.new:
+                if ep.needs(bid):
                     ep.undo[bid] = records
+                    ep.seen.pop(bid, None)
 
     def alloc(self) -> int:
         """Allocate; blocks born after an epoch are invisible to it."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import brute_3sided, brute_4sided, make_points
 from repro.io.blockstore import BlockStore, StorageError
+from repro.io.checksum import ChecksummedStore
 from repro.serve import (
     AdmissionController,
     Deadline,
@@ -49,6 +50,21 @@ class _RacyDisk(BlockStore):
     def peek(self, bid):
         self._fire()
         return super().peek(bid)
+
+
+class _LateReadDisk(BlockStore):
+    """A disk that runs ``after_read`` once, after the next read has
+    fetched its payload and before that payload is returned: writers
+    committing while an unlocked snapshot reader's read is in flight."""
+
+    after_read = None
+
+    def read(self, bid):
+        block = super().read(bid)
+        hook, self.after_read = self.after_read, None
+        if hook is not None:
+            hook()
+        return block
 
 
 def oracle_results(trace, initial):
@@ -368,6 +384,51 @@ class TestSnapshots:
         assert store.epoch_writes(eid) == [bid]
         store.close_epoch(eid)
 
+    def test_read_then_write_takes_the_pre_image_from_the_read(self):
+        store = SnapshotStore(BlockStore(4))
+        read_first, blind, read_early = (store.alloc() for _ in range(3))
+        for bid in (read_first, blind, read_early):
+            store.write(bid, [bid])
+        store.read(read_early)          # before the epoch: no use to it
+        eid = store.open_epoch()
+        before = store.stats.copy()
+        assert store.read(read_first).records == (read_first,)
+        store.write(read_first, ["new"])
+        delta = store.stats - before
+        assert (delta.reads, delta.writes) == (1, 1)   # the op's own read
+        assert store.pre_image_reads == 0
+        store.write(blind, ["new"])
+        store.write(read_early, ["new"])
+        assert store.pre_image_reads == 2
+        reader = store.reader(eid)
+        for bid in (read_first, blind, read_early):
+            assert reader.read(bid).records == (bid,)
+        assert store.rollback_epoch(eid) == 3
+        for bid in (read_first, blind, read_early):
+            assert store.peek(bid) == (bid,)
+
+    def test_rot_between_read_and_write_is_undone_to_the_read(self):
+        """Rot scribbled after an op read a block and before it wrote
+        it: the op's own verified read is the pre-image, so the write
+        lands, the rollback restores good bytes, and a snapshot opened
+        before the op still reads them."""
+        base = BlockStore(4)
+        checked = ChecksummedStore(base)
+        store = SnapshotStore(checked)
+        bid = store.alloc()
+        store.write(bid, [1, 2])
+        frozen = store.reader(store.open_epoch())
+        op = store.open_epoch()
+        assert store.read(bid).records == (1, 2)
+        base.scribble(bid, ["rot"])
+        store.write(bid, [3, 4])
+        assert store.pre_image_reads == 0
+        assert frozen.read(bid).records == (1, 2)
+        store.rollback_epoch(op)
+        assert base.peek(bid) == (1, 2)
+        assert checked.verify(bid)
+        assert frozen.read(bid).records == (1, 2)
+
     def test_blocks_born_after_epoch_invisible(self):
         from repro.io import BlockStore
 
@@ -439,6 +500,35 @@ class TestSnapshots:
         else:
             assert reader.peek(bid) == ("old",)
         assert disk.before_access is None   # the race really ran
+
+    @pytest.mark.parametrize("op1_epoch", [True, False])
+    def test_straddling_read_cannot_plant_a_stale_pre_image(self, op1_epoch):
+        """A snapshot reader's read fetches ``v0``; before it returns, op
+        1 overwrites the block with ``v1`` and commits (inside its own
+        epoch or not), and op 2 opens.  The read must not become op 2's
+        pre-image: op 2's rollback would then restore ``v0`` over the
+        committed ``v1``."""
+        disk = _LateReadDisk(4)
+        snap = SnapshotStore(disk)
+        bid = snap.alloc()
+        snap.write(bid, ["v0"])
+        reader = snap.reader(snap.open_epoch())
+        op2 = []
+
+        def commit_then_reopen():
+            op1 = snap.open_epoch() if op1_epoch else None
+            snap.write(bid, ["v1"])
+            if op1_epoch:
+                snap.close_epoch(op1)
+            op2.append(snap.open_epoch())
+
+        disk.after_read = commit_then_reopen
+        assert reader.read(bid).records == ("v0",)
+        assert op2                          # the race really ran
+        snap.write(bid, ["v2"])
+        snap.rollback_epoch(op2[0])
+        assert disk.peek(bid) == ("v1",)
+        assert reader.read(bid).records == ("v0",)
 
 
 # ----------------------------------------------------------------------

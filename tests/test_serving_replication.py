@@ -415,6 +415,43 @@ class TestRotPaths:
         assert st["write_aborts"] == 2 * OP_RETRY_BOUND
         assert st["block_repairs"] == 1   # r0's rotten pre-image
 
+    def test_rot_between_an_ops_read_and_write_needs_no_repair(self, rng):
+        """Rot landing on a block after an op read it and before the op
+        wrote it: the write takes the op's own verified read as its
+        pre-image, so the abort restores good bytes, the retry needs no
+        peer copy, and a snapshot opened before the op keeps its cut."""
+        pts = make_points(rng, 150)
+        sh = make_shard(pts)          # no pool: reads reach the snapshots
+        rs = sh.replica_set
+        r0, r1 = rs.replicas
+        buf = r0.structure._buffer_bid
+        good = r0.base_store.peek(buf)
+        frozen = sh.snapshot()
+        armed, seen_at_abort = [True], []
+
+        def rot_after_read(op, bid):
+            if op == "read" and bid == buf and armed:
+                armed.clear()
+                r0.base_store.scribble(buf, ["rot"])
+
+        def fails_once_on_r0(structure):
+            structure.insert(1.0, 1.0)
+            if structure is r0.structure and not seen_at_abort:
+                seen_at_abort.append(r0.base_store.peek(buf))
+                raise TransientIOError("fails after the write")
+
+        r0.base_store.add_observer(rot_after_read)
+        rs.apply_write(fails_once_on_r0)
+        assert not armed and seen_at_abort[0] not in (good, ("rot",))
+        st = rs.stats()
+        assert (st["write_aborts"], st["block_repairs"]) == (1, 0)
+        assert st["pre_image_reads"] == 0
+        assert disk_matches_crcs(r0)
+        assert replica_image(r0) == replica_image(r1)
+        assert (1.0, 1.0) in r0.structure.query(0, 1000, 0)
+        assert sorted(frozen.all_points()) == sorted(pts)
+        frozen.close()
+
     def test_engine_stats_sum_the_recovery_counts(self, rng):
         """``ServingEngine.stats()["replication"]`` sums each shard's
         aborted attempts, block repairs and rejected writes."""
