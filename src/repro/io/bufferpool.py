@@ -247,7 +247,7 @@ class BufferPool(StoreLayer):
     def invalidate(self, bid: int) -> None:
         """Drop any cached frame for ``bid`` without writing it back.
 
-        For out-of-band repair channels (the scrubber) that rewrote the
+        For out-of-band repair channels (a block repair) that rewrote the
         block beneath the pool: the resident frame -- clean or dirty --
         no longer describes the disk and must not be served or flushed.
         Pinned frames cannot be invalidated (they are the structure's

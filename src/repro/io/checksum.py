@@ -49,8 +49,8 @@ class CorruptBlockError(StorageError):
     Deliberately *not* a :class:`~repro.resilience.errors.
     TransientIOError`: re-reading rotten data yields the same rot, so
     retry layers must not spin on it.  Callers with redundancy (a
-    replica set, the scrubber) catch it and serve or repair from a
-    healthy copy.
+    replica set and its scrub pass) catch it and serve or repair from
+    a healthy copy.
     """
 
     def __init__(self, bid: int, expected: int, actual: Optional[int] = None):
@@ -159,8 +159,8 @@ class ChecksummedStore(StoreLayer):
         """Check a block against its recorded CRC without charging I/O.
 
         Returns True for blocks with no recorded CRC (nothing to
-        compare) and for missing blocks (the allocator, not the
-        scrubber, owns those).  Never raises.
+        compare) and for missing blocks (the allocator, not a scrub
+        pass, owns those).  Never raises.
         """
         if bid not in self._crcs:
             return True

@@ -143,7 +143,7 @@ class FaultyStore(StoreLayer):
         """Clear latched permanent faults on one block.
 
         The repair channel's half of a block repair or replica rebuild:
-        once the scrubber rewrote the block from a healthy copy, the
+        once a repair rewrote the block from a healthy copy, the
         simulated dead sector is remapped and later accesses succeed
         (until the schedule injects a fresh fault).
         """

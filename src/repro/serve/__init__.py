@@ -14,7 +14,7 @@ deadlines that bound a batch's waits and report unserved x-slabs --
 each shard queue runs whole or not at all, so a batch is late by at
 most one queue (:mod:`~repro.serve.deadline`) -- and a
 scrub pass that repairs silent corruption from healthy replicas
-(:mod:`~repro.serve.scrub`).  :class:`ServingEngine` is the
+(:meth:`ReplicaSet.scrub`).  :class:`ServingEngine` is the
 facade wiring them together.
 
 See ``docs/SERVING.md`` for the architecture walk-through and
@@ -38,7 +38,6 @@ from repro.serve.replication import (
     ReplicaSetExhausted,
     ReplicaSpec,
 )
-from repro.serve.scrub import Scrubber
 from repro.serve.shards import BACKENDS, Shard, SlabRouter
 from repro.serve.snapshots import ShardSnapshot, SnapshotReader, SnapshotStore
 
@@ -57,7 +56,6 @@ __all__ = [
     "ReplicaSet",
     "ReplicaSetExhausted",
     "ReplicaSpec",
-    "Scrubber",
     "ServingEngine",
     "Shard",
     "ShardSnapshot",

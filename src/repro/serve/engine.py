@@ -48,7 +48,6 @@ from repro.serve.executor import (
     merge_slabs,
 )
 from repro.serve.replication import ReplicaSpec
-from repro.serve.scrub import Scrubber
 from repro.serve.shards import Shard, SlabRouter
 from repro.serve.snapshots import ShardSnapshot
 
@@ -183,7 +182,7 @@ class ServingEngine:
             max_queue=max_queue,
             policy=admission_policy,
         )
-        self.scrubber = Scrubber(shards)
+        self.scrub_cycles = 0
 
     # ------------------------------------------------------------------
     # batch execution
@@ -287,10 +286,16 @@ class ServingEngine:
     # self-healing surface
     # ------------------------------------------------------------------
     def scrub(self) -> dict:
-        """One scrub pass: verify every replica block, repair rot from
-        healthy peers, rebuild dead replicas.  Returns the pass
-        summary; cumulative totals live on :attr:`scrubber`."""
-        return self.scrubber.scrub_once()
+        """One scrub pass over every shard; returns its summed counts.
+
+        Each shard in turn, under its writer lock, rebuilds dead
+        replicas, verifies every replica block and repairs rot from
+        healthy peers (:meth:`Shard.scrub`).  ``stats()["scrub"]`` has
+        the totals.
+        """
+        passes = [sh.scrub() for sh in self.router.shards]
+        self.scrub_cycles += 1
+        return {key: sum(p[key] for p in passes) for key in passes[0]}
 
     def heal(self) -> int:
         """Rebuild every dead replica across all shards; returns how
@@ -331,14 +336,11 @@ class ServingEngine:
         shard_stats = [sh.stats() for sh in shards]
         per_shard = [st["replication"] for st in shard_stats]
         replication = {
-            "factor": max(rs["factor"] for rs in per_shard),
-            "live_replicas": sum(rs["live"] for rs in per_shard),
+            key: sum(rs[key] for rs in per_shard)
+            for key, value in per_shard[0].items()
+            if isinstance(value, int)
         }
-        for key in ("failovers", "rebuilds", "rebuild_failures",
-                    "read_fallbacks", "write_aborts", "block_repairs",
-                    "writes_rejected", "breaker_opened", "crc_mismatches",
-                    "pre_image_reads"):
-            replication[key] = sum(rs[key] for rs in per_shard)
+        replication["factor"] = max(rs["factor"] for rs in per_shard)
         return {
             "count": self.count,
             "n_shards": len(self.router),
@@ -347,7 +349,12 @@ class ServingEngine:
             "admission": admission,
             "shed_rate": admission["shed_rate"],
             "replication": replication,
-            "scrub": self.scrubber.summary(),
+            "scrub": {
+                "cycles": self.scrub_cycles,
+                "blocks_checked": replication["scrub_blocks_checked"],
+                "repairs": replication["scrub_repairs"],
+                "unrepaired": replication["scrub_unrepaired"],
+            },
             "total_reads": sum(st["reads"] for st in shard_stats),
             "total_writes": sum(st["writes"] for st in shard_stats),
             "total_replica_reads": sum(

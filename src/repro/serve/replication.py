@@ -21,8 +21,10 @@ operations in the same order, so healthy replicas are block-for-block
 mirrors (same block ids, same payloads).  That mirror property is what
 makes the two repair paths cheap:
 
-- the scrubber (:mod:`repro.serve.scrub`) copies a single rotten block
-  from a peer that still passes its checksum;
+- :meth:`ReplicaSet.repair_block` copies a single rotten block from a
+  peer that still passes its checksum -- for a failed read, an aborted
+  write, or a scrub pass (:meth:`ReplicaSet.scrub`, which CRC-walks
+  every block of every replica);
 - :meth:`ReplicaSet.rebuild_dead` clones a whole dead replica from a
   healthy peer's frozen snapshot -- block-level copy through a
   :class:`~repro.serve.snapshots.SnapshotStore` epoch, then the
@@ -34,16 +36,24 @@ Fault determinism is preserved per replica: each replica's
 but draws from its own ``stream``, so the whole chaos run -- faults,
 failovers, rebuilds, repairs -- is a pure function of the seed.
 
-Every recovery path is counted once, on the object that ran it:
+A replica retries a failed op only when the failure was *mended*: the
+rollback undid write-rot, a rotten block was repaired from a peer, or
+a latched sector was re-armed.  Otherwise a write attempt is retired
+at once and a read falls over to the next copy, so a failure that
+healing cannot touch costs one attempt per replica.
+
+Every recovery path is counted once, on the replica set that ran it:
 :meth:`ReplicaSet.stats` reports failovers, read fallbacks, rebuilds,
-aborted write attempts, block repairs and rejected writes, together
-with each replica's breaker state and checksum mismatches.
+aborted write attempts, block repairs, rejected writes and scrub
+totals, together with the breaker trips, checksum mismatches and
+pre-image reads of every replica it has held -- retired ones too.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
@@ -61,9 +71,10 @@ from repro.serve.snapshots import SnapshotStore
 #: ``SimulatedCrash`` is a BaseException and always propagates.
 FAILOVER_ERRORS = (FaultInjectionError, CorruptBlockError)
 
-#: Abort/heal/retry attempts per replica per op.  An op writing W blocks
-#: survives an attempt with probability ~(1 - corrupt_rate)**W, so the
-#: bound is a fixed budget, not a function of store size; exhausting it
+#: Attempts per replica per op.  Only a mended failure earns a retry,
+#: and mending can succeed on every attempt: an op writing W blocks
+#: escapes write-rot with probability ~(1 - corrupt_rate)**W.  The cap
+#: is a fixed budget, not a function of store size; exhausting it
 #: rejects the op cleanly (all replicas rolled back).
 OP_RETRY_BOUND = 64
 
@@ -230,6 +241,14 @@ class Replica:
         if self.pool is not None:
             self.pool.invalidate(bid)
 
+    def counts(self) -> dict:
+        """The recovery counts this chain keeps for itself."""
+        return {
+            "breaker_opened": self.breaker.times_opened,
+            "crc_mismatches": self.checksummed.mismatches,
+            "pre_image_reads": self.snapstore.pre_image_reads,
+        }
+
     def write_mark(self) -> int:
         """Monotone count of logical writes into this chain.
 
@@ -274,6 +293,11 @@ class ReplicaSet:
         self.write_aborts = 0      # replica attempts rolled back
         self.block_repairs = 0     # rotten blocks rewritten from a peer
         self.writes_rejected = 0   # writes every replica failed
+        self.scrub_blocks_checked = 0
+        self.scrub_repairs = 0     # the block repairs a scrub pass made
+        self.scrub_unrepaired = 0  # rotten blocks no peer could repair
+        # Replica.counts() of the replicas that rebuilds replaced
+        self._retired: Counter = Counter()
 
     # ------------------------------------------------------------------
     @property
@@ -358,9 +382,10 @@ class ReplicaSet:
         corrupt faults scribble only written blocks, so this catches
         silent write-rot while the undo log can still cure it -- an
         acked op never leaves latent rot behind.  After a rollback the
-        replica is healed in place (:meth:`_heal`) and the op retried
-        -- faults on this replica alone should not force a failover,
-        let alone lose the write.  Flushing before the op makes disk
+        replica is healed in place (:meth:`_heal`), and the op is
+        retried only if healing mended something -- a fault the heal
+        cured should not force a failover; one it could not touch
+        retires the attempt at once.  Flushing before the op makes disk
         state complete (so the rollback target is well defined);
         flushing after makes the op durable before it is acked.
         """
@@ -375,9 +400,10 @@ class ReplicaSet:
                 self._verify_epoch(r, epoch)
             except FAILOVER_ERRORS as exc:
                 last_exc = exc
+                rotten = self._rotten_block(r, exc)
                 self._abort(r, epoch, meta)
-                if self._heal(r, exc):
-                    continue  # replica healthy again: retry the op
+                if self._heal(r, rotten):
+                    continue  # mended: retry the op
                 raise
             except BaseException:
                 # SimulatedCrash etc.: not ours to absorb
@@ -401,29 +427,40 @@ class ReplicaSet:
             if not r.checksummed.verify(bid):
                 raise CorruptBlockError(bid, r.checksummed.crc_of(bid))
 
-    def _heal(self, r: Replica, exc: Exception) -> bool:
-        """Best-effort in-place repair after a failed read or an
-        aborted write; True when a retry on the same replica has a
-        chance.
+    @staticmethod
+    def _rotten_block(r: Replica, exc: Exception) -> Optional[int]:
+        """The block ``exc`` reports rotten, if it still fails its CRC
+        on ``r``'s disk (checked before any rollback); else None."""
+        if isinstance(exc, CorruptBlockError) and not r.checksummed.verify(
+            exc.bid
+        ):
+            return exc.bid
+        return None
 
-        1. A :class:`CorruptBlockError` whose block still fails
-           verification is repaired from a peer copy.  After a write's
-           rollback the block usually verifies already: restoring the
-           pre-images cures write-rot.
-        2. Latched broken sectors are re-armed (:meth:`heal_latched`).
+    def _heal(self, r: Replica, rotten: Optional[int]) -> bool:
+        """In-place repair after a failed read or an aborted write;
+        True when it mended something, which is what earns a retry on
+        the same replica.
+
+        1. The ``rotten`` block the failure found (see
+           :meth:`_rotten_block`) is mended when it verifies again --
+           a write's rollback restored its pre-image, curing write-rot
+           -- or when a peer copy repairs it.
+        2. Latched broken sectors are mended when :meth:`heal_latched`
+           re-arms every one of them.
         3. A :class:`StorageError` or injected fault while healing
-           means no retry here.
+           mends nothing.
 
         Every repair writes bytes identical to what healthy readers
         already see, so it is safe under the shard's reader lock.
         """
         try:
-            healed = True
-            if isinstance(exc, CorruptBlockError) and not r.checksummed.verify(
-                exc.bid
-            ):
-                healed = self.repair_block(r, exc.bid)
-            return self.heal_latched(r) and healed
+            latched = r.faulty is not None and bool(r.faulty.broken_blocks)
+            mended = rotten is not None and (
+                r.checksummed.verify(rotten) or self.repair_block(r, rotten)
+            )
+            rearmed = self.heal_latched(r) and latched
+            return mended or rearmed
         except (StorageError, FaultInjectionError):
             return False
 
@@ -434,12 +471,13 @@ class ReplicaSet:
         from a verified copy.  Post-rollback the block's own payload
         *is* verified (the undo log restored the pre-op bytes), so the
         block is rewritten with itself (:meth:`Replica.rewrite`).
-        Blocks that do not verify fall back to a peer copy.  Returns
-        False when a broken block could not be re-armed (no verified
-        source anywhere).
+        Blocks that do not verify fall back to a peer copy.  Every
+        block that can be re-armed is; returns False when at least one
+        could not be (no verified source anywhere).
         """
         if r.faulty is None:
             return True
+        ok = True
         for bid in r.faulty.broken_blocks:
             try:
                 payload = r.checksummed.verified_payload(bid)
@@ -449,8 +487,8 @@ class ReplicaSet:
             if payload is not None:
                 r.rewrite(bid, payload)
             elif not self.repair_block(r, bid):
-                return False
-        return True
+                ok = False
+        return ok
 
     def _abort(self, r: Replica, epoch: int, meta: Any) -> None:
         """Rewind one replica to its pre-op state (writer lock held).
@@ -517,8 +555,9 @@ class ReplicaSet:
         Caller holds the shard's reader lock.  Replica order is primary
         first; replicas whose breaker is open are skipped (except for
         scheduled half-open probes).  A failed read heals what it can
-        in place (:meth:`_heal`) and retries the same replica, then
-        falls over to the next copy.
+        in place (:meth:`_heal`); it retries the same replica only if
+        that mended something, and otherwise falls over to the next
+        copy.
         """
         if len(self.replicas) == 1:
             return fn(self.replicas[0].structure)
@@ -537,12 +576,12 @@ class ReplicaSet:
                     last_exc = exc
                     r.breaker.record_failure()
                     self.read_fallbacks += 1
-                    # each retry needs the failure healed first -- a fresh
-                    # fault may strike the retry, but draws advance, so a
-                    # healable replica converges within the bound
-                    if self._heal(r, exc):
-                        continue
-                    break  # unhealable here: fall over to the next copy
+                    # a fresh fault may strike the retry, but draws
+                    # advance, so a healable replica converges within
+                    # the bound
+                    if self._heal(r, self._rotten_block(r, exc)):
+                        continue  # mended: retry this copy
+                    break  # nothing mended: fall over to the next copy
                 r.breaker.record_success()
                 return out
         if tried == 0:
@@ -570,7 +609,8 @@ class ReplicaSet:
 
         Returns the number of replicas rebuilt.  A rebuild that fails
         (the donor faulted mid-clone) leaves the replica dead; the next
-        write or heal cycle retries.
+        write or heal cycle retries.  A replaced replica's own counts
+        (:meth:`Replica.counts`) carry over into the set's totals.
         """
         source = next(
             (r for r in self.replicas if r.alive and r.structure is not None),
@@ -587,6 +627,7 @@ class ReplicaSet:
             except (StorageError, FaultInjectionError):
                 self.rebuild_failures += 1
                 continue
+            self._retired.update(r.counts())
             rebuilt += 1
             self.rebuilds += 1
         return rebuilt
@@ -643,11 +684,65 @@ class ReplicaSet:
         return fresh
 
     # ------------------------------------------------------------------
+    # scrub
+    # ------------------------------------------------------------------
+    def scrub(self) -> dict:
+        """One scrub pass over every replica (writer lock held).
+
+        Dead replicas are rebuilt first, so the fresh copies get
+        scrubbed too.  Pools are flushed (a dirty frame is newer than
+        its disk block, which would otherwise read as rot), latched
+        sectors re-armed, and every block CRC-verified against the
+        checksum layer's side table (no I/O charged); a rotten block
+        is repaired from a peer (:meth:`repair_block`).  Returns this
+        pass's ``blocks_checked`` / ``repairs`` / ``unrepaired``; the
+        totals are in :meth:`stats`.  A pass is fully deterministic.
+        """
+        self.rebuild_dead()
+        replicas = self.live
+        for r in replicas:
+            try:
+                r.flush()
+            except (FaultInjectionError, StorageError):
+                # a flush fault surfaces through the serving path soon
+                # enough; scrub what the disk does hold
+                pass
+        checked = repaired = unrepaired = 0
+        for r in replicas:
+            try:
+                self.heal_latched(r)
+            except (FaultInjectionError, StorageError):
+                pass
+            for bid in sorted(r.checksummed.block_ids()):
+                checked += 1
+                if r.checksummed.verify(bid):
+                    continue
+                if self.repair_block(r, bid):
+                    repaired += 1
+                else:
+                    unrepaired += 1
+        self.scrub_blocks_checked += checked
+        self.scrub_repairs += repaired
+        self.scrub_unrepaired += unrepaired
+        return {
+            "blocks_checked": checked,
+            "repairs": repaired,
+            "unrepaired": unrepaired,
+        }
+
+    # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Replication health for ``Shard.stats()`` and bench export."""
+        """Replication health for ``Shard.stats()`` and bench export.
+
+        Every value but ``factor`` and ``breaker_states`` is a count
+        that sums across shards.
+        """
+        owned = Counter(self._retired)
+        for r in self.replicas:
+            owned.update(r.counts())
         return {
             "factor": self.factor,
-            "live": len(self.live),
+            "live_replicas": len(self.live),
             "failovers": self.failovers,
             "rebuilds": self.rebuilds,
             "rebuild_failures": self.rebuild_failures,
@@ -655,16 +750,11 @@ class ReplicaSet:
             "write_aborts": self.write_aborts,
             "block_repairs": self.block_repairs,
             "writes_rejected": self.writes_rejected,
+            "scrub_blocks_checked": self.scrub_blocks_checked,
+            "scrub_repairs": self.scrub_repairs,
+            "scrub_unrepaired": self.scrub_unrepaired,
             "breaker_states": [r.breaker.state for r in self.replicas],
-            "breaker_opened": sum(
-                r.breaker.times_opened for r in self.replicas
-            ),
-            "crc_mismatches": sum(
-                r.checksummed.mismatches for r in self.replicas
-            ),
-            "pre_image_reads": sum(
-                r.snapstore.pre_image_reads for r in self.replicas
-            ),
+            **owned,
         }
 
     def __repr__(self) -> str:

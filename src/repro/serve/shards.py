@@ -205,6 +205,14 @@ class Shard:
         with self.lock.write_locked():
             return self.replica_set.rebuild_dead()
 
+    def scrub(self) -> dict:
+        """One scrub pass over the replicas, under the writer lock.
+
+        See :meth:`ReplicaSet.scrub`; returns the pass's counts.
+        """
+        with self.lock.write_locked():
+            return self.replica_set.scrub()
+
     # ------------------------------------------------------------------
     def snapshot(self, *, locked: bool = False) -> ShardSnapshot:
         """Open a frozen-epoch read view of this shard.

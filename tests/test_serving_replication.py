@@ -25,7 +25,6 @@ from repro.serve import (
     ReadWriteLock,
     ReplicaSetExhausted,
     ReplicaSpec,
-    Scrubber,
     ServingEngine,
     Shard,
 )
@@ -198,10 +197,61 @@ class TestReplicaSet:
             sh.replica_set.apply_write(doomed)
         assert (123.0, 456.0) not in sh.query4(0, 1000, 0, 1000)
         st = sh.replica_set.stats()
-        # each replica rolled back every one of its bounded attempts
+        # nothing to mend (the named block verifies): each replica
+        # rolled back its one attempt and was retired at once
         assert st["writes_rejected"] == 1
-        assert st["write_aborts"] == 2 * OP_RETRY_BOUND
+        assert st["write_aborts"] == 2
         assert st["block_repairs"] == 0
+
+    def test_write_rot_on_every_attempt_stops_at_the_retry_cap(self, rng):
+        """Each attempt's write-rot is mended by its rollback, so every
+        attempt earns a retry; the cap still ends the op, rejected, with
+        both replicas back on their pre-op image."""
+        sh = make_shard(make_points(rng, 60), factor=2, seed=5,
+                        rates={"corrupt_rate": 1.0})
+        rs = sh.replica_set
+        before = replica_image(rs.replicas[0])
+        with pytest.raises(ReplicaSetExhausted):
+            sh.insert((1.0, 1.0))
+        st = rs.stats()
+        assert (st["writes_rejected"], st["block_repairs"]) == (1, 0)
+        assert st["write_aborts"] == 2 * OP_RETRY_BOUND
+        assert replica_image(rs.replicas[0]) == before
+        assert replica_image(rs.replicas[1]) == before
+
+    def test_counts_survive_a_rebuild(self, rng):
+        """A rebuilt replica's predecessor keeps its place in the set's
+        totals: checksum mismatches and breaker trips do not go back."""
+        sh = make_shard(make_points(rng, 150), factor=2)
+        rs = sh.replica_set
+        r0 = rs.replicas[0]
+        bid = sorted(r0.base_store.block_ids())[0]
+        r0.checksummed.read(bid)
+        r0.base_store.scribble(bid, ["rot"])
+        with pytest.raises(CorruptBlockError):
+            r0.checksummed.read(bid)
+        for _ in range(BREAKER_THRESHOLD):
+            r0.breaker.record_failure()
+        want = (1, 1)
+        st = rs.stats()
+        assert (st["crc_mismatches"], st["breaker_opened"]) == want
+        rs.kill(0)
+        assert rs.rebuild_dead() == 1 and rs.replicas[0] is not r0
+        st = rs.stats()
+        assert (st["crc_mismatches"], st["breaker_opened"]) == want
+
+    def test_heal_latched_rearms_every_block_it_can(self, rng):
+        """One latched block with no verified copy anywhere does not
+        keep the later ones latched."""
+        sh = make_shard(make_points(rng, 150), factor=2, seed=1, rates={})
+        rs = sh.replica_set
+        r0 = rs.replicas[0]
+        for r in rs.replicas:
+            r.base_store.scribble(0, ["rot", r.replica_id])
+        r0.faulty._broken_read.update((0, 3))
+        assert r0.checksummed.verify(3)
+        assert rs.heal_latched(r0) is False
+        assert r0.faulty.broken_blocks == [0]
 
     def test_kill_and_rebuild_restores_mirror(self, rng):
         sh = make_shard(make_points(rng, 100), factor=2)
@@ -251,8 +301,7 @@ class TestScrubber:
         for bid in bids:
             r0.checksummed.read(bid)
             r0.base_store.scribble(bid, ["rot", bid])
-        scrubber = Scrubber([sh])
-        out = scrubber.scrub_once()
+        out = sh.scrub()
         assert out["repairs"] == len(bids)
         assert out["unrepaired"] == 0
         for bid in bids:
@@ -262,7 +311,7 @@ class TestScrubber:
         sh = make_shard(make_points(rng, 100), factor=2)
         sh.replica_set.kill(1, "chaos")
         assert len(sh.replica_set.live) == 1
-        Scrubber([sh]).scrub_once()
+        sh.scrub()
         assert len(sh.replica_set.live) == 2
 
 
@@ -295,7 +344,7 @@ class TestRotPaths:
         bid = sorted(r0.base_store.block_ids())[0]
         good = r0.store.read(bid).records    # now a resident pool frame
         r0.base_store.scribble(bid, ["rot"])
-        out = Scrubber([sh]).scrub_once()
+        out = sh.scrub()
         assert (out["repairs"], out["unrepaired"]) == (1, 0)
         assert sh.replica_set.block_repairs == 1
         assert r0.base_store.peek(bid) == good == r1.base_store.peek(bid)
@@ -412,14 +461,20 @@ class TestRotPaths:
             assert (1.0, 1.0) not in r.structure.query(0, 1000, 0)
         st = rs.stats()
         assert st["writes_rejected"] == 1
-        assert st["write_aborts"] == 2 * OP_RETRY_BOUND
+        # r0's first attempt fails on its rotten pre-image, repaired
+        # from r1, which earns a retry; the transient error mends
+        # nothing, so that retry and r1's one attempt are the last
+        assert st["write_aborts"] == 3
         assert st["block_repairs"] == 1   # r0's rotten pre-image
+        assert st["write_aborts"] <= 2 * (st["block_repairs"] + 1)
 
     def test_rot_between_an_ops_read_and_write_needs_no_repair(self, rng):
         """Rot landing on a block after an op read it and before the op
         wrote it: the write takes the op's own verified read as its
         pre-image, so the abort restores good bytes, the retry needs no
-        peer copy, and a snapshot opened before the op keeps its cut."""
+        peer copy, and a snapshot opened before the op keeps its cut.
+        The attempt fails on write-rot that the pre-ack sweep catches;
+        the rollback mends it, which is what earns the retry."""
         pts = make_points(rng, 150)
         sh = make_shard(pts)          # no pool: reads reach the snapshots
         rs = sh.replica_set
@@ -434,14 +489,14 @@ class TestRotPaths:
                 armed.clear()
                 r0.base_store.scribble(buf, ["rot"])
 
-        def fails_once_on_r0(structure):
+        def rots_once_on_r0(structure):
             structure.insert(1.0, 1.0)
             if structure is r0.structure and not seen_at_abort:
                 seen_at_abort.append(r0.base_store.peek(buf))
-                raise TransientIOError("fails after the write")
+                r0.base_store.scribble(buf, ["write-rot"])
 
         r0.base_store.add_observer(rot_after_read)
-        rs.apply_write(fails_once_on_r0)
+        rs.apply_write(rots_once_on_r0)
         assert not armed and seen_at_abort[0] not in (good, ("rot",))
         st = rs.stats()
         assert (st["write_aborts"], st["block_repairs"]) == (1, 0)
@@ -453,8 +508,10 @@ class TestRotPaths:
         frozen.close()
 
     def test_engine_stats_sum_the_recovery_counts(self, rng):
-        """``ServingEngine.stats()["replication"]`` sums each shard's
-        aborted attempts, block repairs and rejected writes."""
+        """``ServingEngine.stats()["replication"]`` holds every count a
+        replica set reports, summed over shards (the factor is the
+        largest shard's), and ``stats()["scrub"]`` reads the scrub
+        counts from it."""
         eng = ServingEngine(make_points(rng, 300), n_shards=2,
                             block_size=16, backend="log",
                             replication_factor=2, pool_capacity=8)
@@ -469,11 +526,28 @@ class TestRotPaths:
         for sh in eng.router.shards:
             with pytest.raises(ReplicaSetExhausted):
                 sh.replica_set.apply_write(doomed)
+        for sh in eng.router.shards:
+            r1 = sh.replica_set.replicas[1]
+            r1.base_store.scribble(r1.structure._buffer_bid, ["rot"])
+        assert eng.scrub()["repairs"] == 2
         st = eng.stats()
-        for key in ("write_aborts", "block_repairs", "writes_rejected"):
-            per_shard = [s["replication"][key] for s in st["shards"]]
-            assert all(n > 0 for n in per_shard), key
-            assert st["replication"][key] == sum(per_shard), key
+        repl = st["replication"]
+        per_shard = [s["replication"] for s in st["shards"]]
+        assert set(repl) == {
+            k for k, v in per_shard[0].items() if isinstance(v, int)
+        }
+        for key in repl.keys() - {"factor"}:
+            assert repl[key] == sum(rs[key] for rs in per_shard), key
+        assert repl["factor"] == 2
+        for key in ("write_aborts", "block_repairs", "writes_rejected",
+                    "scrub_repairs"):
+            assert all(rs[key] > 0 for rs in per_shard), key
+        assert st["scrub"] == {
+            "cycles": 1,
+            "blocks_checked": repl["scrub_blocks_checked"],
+            "repairs": repl["scrub_repairs"],
+            "unrepaired": repl["scrub_unrepaired"],
+        }
         eng.close()
 
 
@@ -735,6 +809,24 @@ class TestEngineChaos:
         assert stats["replication"]["live_replicas"] == 4
         assert stats["replication"]["failovers"] >= 1
         assert stats["replication"]["rebuilds"] >= 1
+
+    def test_chaos_run_recovery_vector_is_pinned(self):
+        """Every recovery count of the seeded chaos run, exactly: a
+        recovery-policy change that keeps the answers right but shifts
+        the work behind them shows up here."""
+        *_, st = self._trace_run(2, 3, kill=True)
+        assert st["replication"] == {
+            "factor": 2, "live_replicas": 4, "failovers": 1, "rebuilds": 1,
+            "rebuild_failures": 0, "read_fallbacks": 0, "write_aborts": 15,
+            "block_repairs": 0, "writes_rejected": 0,
+            "scrub_blocks_checked": 384, "scrub_repairs": 0,
+            "scrub_unrepaired": 0, "breaker_opened": 0,
+            "crc_mismatches": 0, "pre_image_reads": 23,
+        }
+        assert st["scrub"] == {
+            "cycles": 6, "blocks_checked": 384, "repairs": 0, "unrepaired": 0,
+        }
+        assert st["total_replica_reads"] + st["total_replica_writes"] == 886
 
     def test_chaos_run_is_deterministic(self):
         a1 = self._trace_run(2, 3, kill=True)
